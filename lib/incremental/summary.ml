@@ -156,8 +156,9 @@ let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
   }
 
 (** Uninstall the table; under [Cache_dir] and [save:true], persist it
-    first.  When the analysis session asked for it
-    ([ses_collect_tables]), the final table is also recorded in
+    first, unless the store file already held every entry of the table
+    (a warm run that added nothing).  When the analysis session asked
+    for it ([ses_collect_tables]), the final table is also recorded in
     [ses_tables] so a resident server can absorb it.  Returns the cache
     counters for the run. *)
 let detach ?(save = true) (cfg : C.Config.t) (ss : session) :
@@ -168,9 +169,17 @@ let detach ?(save = true) (cfg : C.Config.t) (ss : session) :
       ( Fingerprint.program ss.ss_fps,
         Hashtbl.fold (fun k s acc -> (k, s) :: acc) ss.ss_tbl [] )
       :: ss.ss_ses.C.Transfer.ses_tables;
+  (* every store entry was added to the table at [attach], and a store
+     file never repeats a key, so equal counts mean the file already
+     holds the whole table: rewriting it would only cost a re-read,
+     merge, marshal and fsync.  An empty table still writes, so a run
+     always leaves a store file behind. *)
+  let unchanged =
+    ss.ss_loaded > 0 && Hashtbl.length ss.ss_tbl = ss.ss_loaded
+  in
   let save_time =
     match cfg.C.Config.summary_cache with
-    | C.Config.Cache_dir dir when save ->
+    | C.Config.Cache_dir dir when save && not unchanged ->
         let t0 = Unix.gettimeofday () in
         Store.save ~dir
           ~key:(Fingerprint.program ss.ss_fps)

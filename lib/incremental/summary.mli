@@ -32,9 +32,10 @@ val attach :
   C.Transfer.session -> C.Config.t -> F.Tast.program -> session
 
 (** Uninstall the table, persisting it first under [Cache_dir] unless
-    [save:false]; when the analysis session has [ses_collect_tables]
-    set, also records the final table in its [ses_tables].  Returns the
-    run's cache counters. *)
+    [save:false] or the store file already held every entry of the
+    table; when the analysis session has [ses_collect_tables] set, also
+    records the final table in its [ses_tables].  Returns the run's
+    cache counters. *)
 val detach : ?save:bool -> C.Config.t -> session -> C.Analysis.cache_stats
 
 (** The [Analysis.cache_driver] implementation: attach, run, detach,

@@ -215,6 +215,19 @@ let with_cache_driver k =
          green under a global ASTREE_FAULTS chaos run *)
       Astree_robust.Faultsim.with_suppressed k)
 
+let with_fresh_dir k =
+  let dir = Filename.temp_file "astree-cache" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> k dir)
+
 let with_tmpdir k =
   match Sys.getenv_opt "ASTREE_TEST_CACHE" with
   | Some dir when dir <> "" ->
@@ -223,18 +236,7 @@ let with_tmpdir k =
          every assertion below holds on a pre-populated store, and
          nothing is cleaned up *)
       k dir
-  | _ ->
-      let dir = Filename.temp_file "astree-cache" "" in
-      Sys.remove dir;
-      Fun.protect
-        ~finally:(fun () ->
-          if Sys.file_exists dir then begin
-            Array.iter
-              (fun f -> Sys.remove (Filename.concat dir f))
-              (Sys.readdir dir);
-            Sys.rmdir dir
-          end)
-        (fun () -> k dir)
+  | _ -> with_fresh_dir k
 
 let cache_stats_exn (r : C.Analysis.result) =
   match r.C.Analysis.r_stats.C.Analysis.s_cache with
@@ -418,6 +420,54 @@ let test_store_corruption () =
               (* empty file *)
               write_file file "";
               check_degraded "empty")))
+
+(* A warm rerun that adds nothing leaves the store file alone (same
+   inode, same mtime); a run that adds entries rewrites it with the
+   union of the file and the fresh summaries. *)
+let test_store_unchanged_not_rewritten () =
+  with_mini_fbw (fun src ->
+      let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
+      with_fresh_dir (fun dir ->
+          with_cache_driver (fun () ->
+              let cfg =
+                {
+                  C.Config.default with
+                  C.Config.summary_cache = C.Config.Cache_dir dir;
+                }
+              in
+              let key = I.Fingerprint.program (I.Fingerprint.make cfg p) in
+              let file = store_file dir cfg p in
+              let keys () =
+                List.sort compare (List.map fst (I.Store.load ~dir ~key))
+              in
+              let stamp () =
+                let st = Unix.stat file in
+                (st.Unix.st_ino, st.Unix.st_mtime)
+              in
+              ignore (C.Analysis.analyze ~cfg p);
+              let all = keys () in
+              if List.length all < 2 then Alcotest.skip ();
+              let before = stamp () in
+              let warm = cache_stats_exn (C.Analysis.analyze ~cfg p) in
+              Alcotest.(check int) "warm run misses" 0
+                warm.C.Analysis.c_misses;
+              Alcotest.(check bool) "unchanged store not rewritten" true
+                (stamp () = before);
+              (* keep only half of the entries: the next run recomputes
+                 the rest and must write them back *)
+              let half =
+                List.filteri (fun i _ -> i mod 2 = 0) (I.Store.load ~dir ~key)
+              in
+              Sys.remove file;
+              I.Store.save ~dir ~key half;
+              let before = stamp () in
+              let partial = cache_stats_exn (C.Analysis.analyze ~cfg p) in
+              Alcotest.(check bool) "partial store misses" true
+                (partial.C.Analysis.c_misses > 0);
+              Alcotest.(check bool) "grown store rewritten" true
+                (fst (stamp ()) <> fst before);
+              Alcotest.(check bool) "rewritten store holds the union" true
+                (keys () = all))))
 
 (* concurrent multi-process writers (daemon pool workers, batch runs
    sharing one cache directory) racing [Store.save] on the same key:
@@ -689,6 +739,8 @@ let suite =
       test_warm_all_examples;
     Alcotest.test_case "store: corrupt files degrade to cold" `Quick
       test_store_corruption;
+    Alcotest.test_case "store: unchanged warm run not rewritten" `Quick
+      test_store_unchanged_not_rewritten;
     Alcotest.test_case "store: racing writers never tear" `Quick
       test_store_racing_writers;
     Alcotest.test_case "blob: round-trip and atomic replace" `Quick

@@ -454,6 +454,34 @@ let test_client_parity () =
             [ 1; 2 ])
         programs)
 
+(* Requests from older clients may still carry a "backend" option; it
+   is ignored like any unknown key, so the report bytes do not change. *)
+let test_backend_option_ignored () =
+  let sources = [ ("calls.c", prog_calls) ] in
+  let options = { Srv.Service.default_options with Srv.Service.o_jobs = 2 } in
+  let with_backend =
+    match analyze_json ~options sources with
+    | Srv.Json.Obj fields ->
+        Srv.Json.Obj
+          (List.map
+             (function
+               | "options", Srv.Json.Obj o ->
+                   let stale = ("backend", Srv.Json.Str "domains") in
+                   ("options", Srv.Json.Obj (stale :: o))
+               | f -> f)
+             fields)
+    | j -> j
+  in
+  with_daemon (fun sock ->
+      let report j =
+        match (ok_exn (Srv.Client.request sock j)).Srv.Client.r_report with
+        | Some r -> scrub_time r
+        | None -> Alcotest.fail "reply without report"
+      in
+      let plain = report (analyze_json ~options sources) in
+      Alcotest.(check string) "backend option changes nothing" plain
+        (report with_backend))
+
 (* ---- concurrency ------------------------------------------------- *)
 
 let test_concurrent_configs () =
@@ -1362,6 +1390,8 @@ let suite =
     Alcotest.test_case "every verb round-trips" `Quick test_verbs;
     Alcotest.test_case "client parity with in-process" `Slow
       test_client_parity;
+    Alcotest.test_case "stale backend option is ignored" `Quick
+      test_backend_option_ignored;
     Alcotest.test_case "concurrent configs match one-shots" `Slow
       test_concurrent_configs;
     Alcotest.test_case "queue-full requests are shed" `Quick
