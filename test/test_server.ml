@@ -1390,8 +1390,6 @@ let suite =
     Alcotest.test_case "every verb round-trips" `Quick test_verbs;
     Alcotest.test_case "client parity with in-process" `Slow
       test_client_parity;
-    Alcotest.test_case "stale backend option is ignored" `Quick
-      test_backend_option_ignored;
     Alcotest.test_case "concurrent configs match one-shots" `Slow
       test_concurrent_configs;
     Alcotest.test_case "queue-full requests are shed" `Quick
@@ -1424,4 +1422,6 @@ let suite =
       test_access_log_wire;
     Alcotest.test_case "multi-task requests are refused" `Quick
       test_multi_task_refused;
+    Alcotest.test_case "stale backend option is ignored" `Quick
+      test_backend_option_ignored;
   ]
