@@ -1961,21 +1961,47 @@ let micro () =
       [ bench_close; bench_join_shared; bench_widen; bench_delta;
         bench_analysis ]
   in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false
-         ~predictors:[| Measure.run |])
-      instance raw
+  (* Bechamel's own [Toolkit.Instance.minor_allocated] reads
+     [Gc.quick_stat], whose minor-word count only advances at minor
+     collections on OCaml 5, so it reads 0 for kernels that finish between
+     two collections.  [Gc.minor_words] counts the current minor heap too. *)
+  let minor_words =
+    let module M = struct
+      type witness = unit
+
+      let load () = ()
+      let unload () = ()
+      let make () = ()
+      let get () = Gc.minor_words ()
+      let label () = "minor-words"
+      let unit () = "words"
+    end in
+    Measure.instance (module M) (Measure.register (module M))
   in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Fmt.pr "%-44s %14.1f ns/run@." name est
-      | _ -> Fmt.pr "%-44s (no estimate)@." name)
-    ols
+  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
+  let raw =
+    Benchmark.all cfg [ Toolkit.Instance.monotonic_clock; minor_words ] tests
+  in
+  (* per-run slope of each instance against the run count *)
+  let per_run instance =
+    let ols =
+      Analyze.all
+        (Analyze.ols ~bootstrap:0 ~r_square:false
+           ~predictors:[| Measure.run |])
+        instance raw
+    in
+    fun name ->
+      match Analyze.OLS.estimates (Hashtbl.find ols name) with
+      | Some [ est ] -> Fmt.str "%.1f" est
+      | _ -> "-"
+  in
+  let ns = per_run Toolkit.Instance.monotonic_clock in
+  let words = per_run minor_words in
+  Fmt.pr "%-44s %14s %16s@." "kernel" "ns/run" "minor words/run";
+  Hashtbl.fold (fun name _ acc -> name :: acc) raw []
+  |> List.sort String.compare
+  |> List.iter (fun name ->
+         Fmt.pr "%-44s %14s %16s@." name (ns name) (words name))
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)

@@ -87,9 +87,12 @@ type interner = {
   tbl : (int * step list, int) Hashtbl.t;  (** (root id, path) -> cell id *)
   mutable rev : t array;                   (** cell id -> cell *)
   mutable next : int;
+  mutable roots : int array;
+      (** variable id -> cell id of its root cell, [-1] until first use *)
 }
 
-let make_interner () = { tbl = Hashtbl.create 1024; rev = [||]; next = 0 }
+let make_interner () =
+  { tbl = Hashtbl.create 1024; rev = [||]; next = 0; roots = [||] }
 
 let intern (it : interner) (c : t) : int =
   let key = (c.root.F.Tast.v_id, c.path) in
@@ -107,6 +110,25 @@ let intern (it : interner) (c : t) : int =
       end;
       it.rev.(id) <- c;
       id
+
+(* The transfer functions look up the root cell of a scalar variable on
+   every read and write.  The answer never changes once interned, so it is
+   cached by variable id; the first lookup still goes through [intern],
+   which keeps the numbering exactly what [intern] alone would give. *)
+let intern_root (it : interner) (v : F.Tast.var) (cty : F.Ctypes.scalar) :
+    int =
+  let vid = v.F.Tast.v_id in
+  if vid < Array.length it.roots && it.roots.(vid) >= 0 then it.roots.(vid)
+  else begin
+    let id = intern it { root = v; path = []; cty; weak = false } in
+    if vid >= Array.length it.roots then begin
+      let a = Array.make (max 64 (2 * (vid + 1))) (-1) in
+      Array.blit it.roots 0 a 0 (Array.length it.roots);
+      it.roots <- a
+    end;
+    it.roots.(vid) <- id;
+    id
+  end
 
 let of_id (it : interner) (id : int) : t = it.rev.(id)
 

@@ -37,5 +37,13 @@ type interner
 
 val make_interner : unit -> interner
 val intern : interner -> t -> int
+
+(** [intern_root it v cty] is [intern it] of the root cell
+    [{root = v; path = []; cty; weak = false}] of the scalar variable [v],
+    in O(1) without allocating after the first call for [v].  Requires
+    [v.v_id >= 0], as the typechecker assigns. *)
+val intern_root :
+  interner -> Astree_frontend.Tast.var -> Astree_frontend.Ctypes.scalar -> int
+
 val of_id : interner -> int -> t
 val count : interner -> int

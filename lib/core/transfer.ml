@@ -287,8 +287,7 @@ let dt_packs_of (a : actx) (v : var) : Packing.dt_pack list =
 (** Cell id of a scalar variable. *)
 let var_cell (a : actx) (v : var) : int =
   match v.v_ty with
-  | F.Ctypes.Tscalar s ->
-      Cell.intern a.intern { Cell.root = v; path = []; cty = s; weak = false }
+  | F.Ctypes.Tscalar s -> Cell.intern_root a.intern v s
   | _ -> invalid_arg "var_cell: not a scalar variable"
 
 let type_range (a : actx) (s : F.Ctypes.scalar) : D.Itv.t =
@@ -1467,10 +1466,8 @@ let assign_ellipsoids (a : actx) (st : Astate.t) (x : var) (rhs : expr) :
                                 (fun (v, k) ->
                                   Var.equal v ep.ep_z && k = -.ep.ep_b)
                                 terms ->
-                        (* bound the residual t with the intervals *)
-                        let err = ref false in
-                        let saved = a.alarms.Alarm.enabled in
-                        a.alarms.Alarm.enabled <- false;
+                        (* bound the residual t = rhs - a.y + b.z with the
+                           intervals of its terms *)
                         let t_itv =
                           let rest =
                             List.filter
@@ -1479,10 +1476,6 @@ let assign_ellipsoids (a : actx) (st : Astate.t) (x : var) (rhs : expr) :
                                   (Var.equal v ep.ep_y || Var.equal v ep.ep_z))
                               terms
                           in
-                          let base = eval a st VarMap.empty err rhs in
-                          ignore base;
-                          (* conservative: evaluate rhs - a.y + b.z via
-                             intervals of the residual terms *)
                           List.fold_left
                             (fun acc (v, k) ->
                               let vi = var_itv a st v in
@@ -1497,7 +1490,6 @@ let assign_ellipsoids (a : actx) (st : Astate.t) (x : var) (rhs : expr) :
                                (match lin with Some (_, c) -> c | None -> 0.0))
                             rest
                         in
-                        a.alarms.Alarm.enabled <- saved;
                         let t_max =
                           match D.Itv.float_hull t_itv with
                           | Some (lo, hi) ->

@@ -9,7 +9,7 @@
     bounds) yields a correct directed-rounding over-approximation. *)
 
 (** Next representable double above [x] ([+infinity] is a fixpoint). *)
-let fsucc (x : float) : float =
+let[@inline] fsucc (x : float) : float =
   if Float.is_nan x then x
   else if x = Float.infinity then x
   else if x = 0.0 then Float.min_float *. epsilon_float (* smallest denormal *)
@@ -19,14 +19,14 @@ let fsucc (x : float) : float =
     else Int64.float_of_bits (Int64.sub bits 1L)
 
 (** Next representable double below [x] ([-infinity] is a fixpoint). *)
-let fpred (x : float) : float = -.fsucc (-.x)
+let[@inline] fpred (x : float) : float = -.fsucc (-.x)
 
 (** Round a bound computed in round-to-nearest upward (sound upper bound,
     conservative by one ulp). *)
-let round_up (x : float) : float = if Float.is_nan x then x else fsucc x
+let[@inline] round_up (x : float) : float = if Float.is_nan x then x else fsucc x
 
 (** Round a bound computed in round-to-nearest downward. *)
-let round_down (x : float) : float = if Float.is_nan x then x else fpred x
+let[@inline] round_down (x : float) : float = if Float.is_nan x then x else fpred x
 
 (* Error-compensated directed rounding: the rounded result is adjusted by
    one ulp only when the residual error (computed exactly by Knuth's
@@ -40,7 +40,7 @@ let round_down (x : float) : float = if Float.is_nan x then x else fpred x
    most negative finite double's neighborhood); dually for downward. *)
 let finite2 a b = Float.abs a < Float.infinity && Float.abs b < Float.infinity
 
-let add_up a b =
+let[@inline] add_up a b =
   let r = a +. b in
   if Float.is_nan r then r
   else if r = Float.infinity then r
@@ -50,7 +50,7 @@ let add_up a b =
     let e = (a -. (r -. b)) +. (b -. (r -. a)) in
     if Float.is_nan e then fsucc r else if e > 0.0 then fsucc r else r
 
-let add_down a b =
+let[@inline] add_down a b =
   let r = a +. b in
   if Float.is_nan r then r
   else if r = Float.neg_infinity then r
@@ -59,8 +59,8 @@ let add_down a b =
     let e = (a -. (r -. b)) +. (b -. (r -. a)) in
     if Float.is_nan e then fpred r else if e < 0.0 then fpred r else r
 
-let sub_up a b = add_up a (-.b)
-let sub_down a b = add_down a (-.b)
+let[@inline] sub_up a b = add_up a (-.b)
+let[@inline] sub_down a b = add_down a (-.b)
 
 (* inf * 0 = nan in IEEE; in exact interval arithmetic the product of a
    zero bound with an infinite bound is 0 *)

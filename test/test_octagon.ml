@@ -347,6 +347,51 @@ let test_widen_unclosed () =
     (D.Profile.counter D.Profile.oct_close_full);
   Alcotest.(check bool) "then closed" true (w.O.closure = O.Closed)
 
+(* Allocation regression for the closure kernels: on a 6-variable pack,
+   [close] and [close_incremental] must allocate at most a small constant
+   number of minor words per call, never one boxed float per relaxation.
+   This relies on the workspace's default (release) profile: under
+   dune's dev profile every library is built with -opaque, the
+   directed-rounding primitives cannot be inlined across modules, and
+   each relaxation boxes its operands and result (about 19,000 words per
+   [close] on this pack). *)
+let test_closure_allocation () =
+  let pack = Array.init 6 (fun i -> mkvar (Printf.sprintf "a%d" i)) in
+  let o = O.top pack in
+  Array.iteri
+    (fun i v -> O.set_bounds o v (float_of_int (-i - 1), float_of_int (i + 2)))
+    pack;
+  for i = 0 to 4 do
+    O.add_diff_le o pack.(i) pack.(i + 1) (float_of_int i +. 0.5);
+    O.add_sum_le o pack.(i) pack.(5 - i) 7.25
+  done;
+  O.close o;
+  let calls = 50 in
+  let per_call name prep f =
+    let inputs = Array.init calls (fun _ -> prep (O.copy o)) in
+    let w0 = Gc.minor_words () in
+    Array.iter f inputs;
+    let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+    if words > 64.0 then
+      Alcotest.failf "%s allocates %.0f minor words per call (limit 64)"
+        name words
+  in
+  let saved = !D.Profile.enabled in
+  D.Profile.enabled := false;
+  Fun.protect
+    ~finally:(fun () -> D.Profile.enabled := saved)
+    (fun () ->
+      per_call "close" Fun.id O.close;
+      let incr0 = D.Profile.counter D.Profile.oct_close_incr in
+      per_call "close_incremental"
+        (fun c ->
+          O.add_diff_le c pack.(3) pack.(0) 1.0;
+          c)
+        O.close_incremental;
+      Alcotest.(check int)
+        "incremental algorithm used" (incr0 + calls)
+        (D.Profile.counter D.Profile.oct_close_incr))
+
 let suite =
   [
     Alcotest.test_case "top/bottom" `Quick test_top_bot;
@@ -367,6 +412,8 @@ let suite =
     Alcotest.test_case "join does zero closure work" `Quick
       test_join_zero_closure_work;
     Alcotest.test_case "widening stays unclosed" `Quick test_widen_unclosed;
+    Alcotest.test_case "closure kernels do not box" `Quick
+      test_closure_allocation;
   ]
   @ [
       QCheck_alcotest.to_alcotest prop_closure_sound;

@@ -379,6 +379,52 @@ int main(void) {
 }
 |}
 
+(* Cell numbering: the O(1) root-cell lookup behind [var_cell] must hand
+   out exactly the ids [Cell.intern] does.  Forked workers and the
+   fingerprint rely on the numbering frozen by [prefill_cells], so every
+   prefilled root must map to its prefilled id without interning anything
+   new, and a root first seen after the prefill gets the next fresh id. *)
+let test_root_cell_numbering () =
+  let g = Astree_gen.Generator.member ~seed:3 ~kloc:0.5 () in
+  let p, _ = C.Analysis.compile [ ("m.c", g.Astree_gen.Generator.source) ] in
+  let a = C.Transfer.make_actx C.Config.default p in
+  C.Transfer.prefill_cells a;
+  let it = a.C.Transfer.intern in
+  let n = C.Cell.count it in
+  let roots = ref 0 and max_vid = ref 0 in
+  for id = 0 to n - 1 do
+    let c = C.Cell.of_id it id in
+    let v = c.C.Cell.root in
+    max_vid := max !max_vid v.Astree_frontend.Tast.v_id;
+    Alcotest.(check int) "intern is stable" id (C.Cell.intern it c);
+    if c.C.Cell.path = [] then begin
+      incr roots;
+      Alcotest.(check int) (C.Cell.to_string c) id (C.Transfer.var_cell a v)
+    end
+  done;
+  Alcotest.(check bool) "program has root cells" true (!roots > 100);
+  Alcotest.(check int) "no cell added by the lookups" n (C.Cell.count it);
+  let fresh =
+    {
+      (C.Cell.of_id it 0).C.Cell.root with
+      Astree_frontend.Tast.v_id = !max_vid + 1;
+      v_name = "fresh";
+      v_ty = Astree_frontend.Ctypes.t_double;
+    }
+  in
+  Alcotest.(check int) "fresh root gets the next id" n
+    (C.Transfer.var_cell a fresh);
+  Alcotest.(check int) "and keeps it" n (C.Transfer.var_cell a fresh);
+  Alcotest.(check int) "intern agrees" n
+    (C.Cell.intern it
+       {
+         C.Cell.root = fresh;
+         path = [];
+         cty = Astree_frontend.Ctypes.(Tfloat Fdouble);
+         weak = false;
+       });
+  Alcotest.(check int) "one cell added" (n + 1) (C.Cell.count it)
+
 let suite =
   [
     Alcotest.test_case "comparison guards" `Quick test_guard_comparisons;
@@ -401,4 +447,5 @@ let suite =
     Alcotest.test_case "polyvariant calls" `Quick test_polyvariant_calls;
     Alcotest.test_case "clocked counters" `Quick test_clock_bounds_counter_sum;
     Alcotest.test_case "volatile reads distinct" `Quick test_volatile_reads_not_cached;
+    Alcotest.test_case "root cell numbering" `Quick test_root_cell_numbering;
   ]
