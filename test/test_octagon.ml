@@ -412,10 +412,12 @@ let suite =
     Alcotest.test_case "join does zero closure work" `Quick
       test_join_zero_closure_work;
     Alcotest.test_case "widening stays unclosed" `Quick test_widen_unclosed;
-    Alcotest.test_case "closure kernels do not box" `Quick
-      test_closure_allocation;
   ]
   @ [
       QCheck_alcotest.to_alcotest prop_closure_sound;
       QCheck_alcotest.to_alcotest prop_incremental_equiv;
+    ]
+  @ [
+      Alcotest.test_case "closure kernels do not box" `Quick
+        test_closure_allocation;
     ]
