@@ -8,6 +8,10 @@
     stepping one ulp outward ([fsucc] on upper bounds, [fpred] on lower
     bounds) yields a correct directed-rounding over-approximation. *)
 
+(* The primitives the closure and interval loops call are [@inline]: a
+   call left out of line boxes its float arguments and result, one
+   allocation per relaxation (DESIGN.md §9). *)
+
 (** Next representable double above [x] ([+infinity] is a fixpoint). *)
 let[@inline] fsucc (x : float) : float =
   if Float.is_nan x then x
