@@ -456,7 +456,7 @@ int main(void) {
     (!worst <= !proven)
 
 (* ------------------------------------------------------------------ *)
-(* E10 - parallel analysis: the two job axes of lib/parallel           *)
+(* E10 - parallel analysis: batch jobs on the fork pool                *)
 (* ------------------------------------------------------------------ *)
 
 let e10 ~quick () =
@@ -466,8 +466,8 @@ let e10 ~quick () =
      speedups are reported against the machine's actual core count";
   let cores = P.Scheduler.default_jobs () in
   Fmt.pr "cores available: %d@." cores;
-  (* axis (b): whole-program batch jobs — a domain-refinement ladder
-     over one family member, one full analysis per rung *)
+  (* whole-program batch jobs — a domain-refinement ladder over one
+     family member, one full analysis per rung *)
   let g = G.Generator.member ~kloc:(if quick then 0.5 else 2.0) () in
   let base = cfg_with_partitions g in
   let ladder =
@@ -509,33 +509,7 @@ let e10 ~quick () =
     (fun (jobs, dt, ok) ->
       Fmt.pr "%6d %10.2f %8.2fx %10b@." jobs dt (t1 /. dt) ok)
     batch_rows;
-  (* axis (a): intra-program disjunct jobs on the same member, with the
-     production job-size gate (small disjuncts stay in-process) *)
-  let p, _ = C.Analysis.compile [ ("member.c", g.G.Generator.source) ] in
-  let r1, s1 =
-    time (fun () -> C.Analysis.analyze ~cfg:{ base with C.Config.jobs = 1 } p)
-  in
-  let f1 = P.Merge.fingerprint r1 in
-  let disj_rows =
-    List.map
-      (fun jobs ->
-        let r, dt =
-          time (fun () ->
-              P.Scheduler.analyze ~cfg:{ base with C.Config.jobs = jobs } p)
-        in
-        (jobs, dt, P.Merge.fingerprint r = f1))
-      [ 2; 4 ]
-  in
-  Fmt.pr "@.disjunct axis: same member, branch/partition jobs@.";
-  Fmt.pr "%6s %10s %9s %10s@." "jobs" "time(s)" "speedup" "identical";
-  Fmt.pr "%6d %10.2f %9s %10s@." 1 s1 "1.00x" "-";
-  List.iter
-    (fun (jobs, dt, ok) ->
-      Fmt.pr "%6d %10.2f %8.2fx %10b@." jobs dt (s1 /. dt) ok)
-    disj_rows;
-  let all_identical =
-    List.for_all (fun (_, _, ok) -> ok) (batch_rows @ disj_rows)
-  in
+  let all_identical = List.for_all (fun (_, _, ok) -> ok) batch_rows in
   Fmt.pr "@.fingerprints identical everywhere: %b@." all_identical;
   let rows_json rows =
     String.concat ", "
@@ -548,10 +522,8 @@ let e10 ~quick () =
   json_record "e10"
     (Printf.sprintf
        "{\"quick\": %b, \"cores\": %d, \"t_batch_j1\": %.6f, \
-        \"t_disjunct_j1\": %.6f, \"batch\": [%s], \"disjunct\": [%s], \
-        \"fingerprints_identical\": %b}"
-       quick cores t1 s1 (rows_json batch_rows) (rows_json disj_rows)
-       all_identical)
+        \"batch\": [%s], \"fingerprints_identical\": %b}"
+       quick cores t1 (rows_json batch_rows) all_identical)
 
 (* ------------------------------------------------------------------ *)
 (* E11 - incremental analysis: the summary cache of lib/incremental    *)
@@ -750,20 +722,22 @@ let e12 ~quick () =
    Fmt.pr "pack widths (count x width): %a@."
      Fmt.(list ~sep:sp (pair ~sep:(any "x") int int))
      (List.sort compare (List.map (fun (w, n) -> (n, w)) l)));
-  let counters () =
-    ( D.Profile.counter D.Profile.oct_close_full,
-      D.Profile.counter D.Profile.oct_close_incr,
-      D.Profile.counter D.Profile.oct_close_skip )
+  let closures kind = O.Metrics.value (O.Metrics.counter ("oct.close." ^ kind)) in
+  let counters () = (closures "full", closures "incr", closures "skip") in
+  let reset_counters () =
+    List.iter
+      (fun kind -> O.Metrics.reset_named ("oct.close." ^ kind))
+      [ "full"; "incr"; "skip" ]
   in
   (* A/B inside one binary: [force_full_close] restores the pre-overhaul
      cost model (the algorithms are equivalent, see test_octagon.ml, so
      only the work per closure request changes) *)
   D.Octagon.force_full_close := true;
-  D.Profile.reset ();
+  reset_counters ();
   let r_full, t_full = time (fun () -> C.Analysis.analyze ~cfg p) in
   let ff, fi, fs = counters () in
   D.Octagon.force_full_close := false;
-  D.Profile.reset ();
+  reset_counters ();
   let r_incr, t_incr = time (fun () -> C.Analysis.analyze ~cfg p) in
   let nf, ni, ns = counters () in
   let speedup = t_full /. Float.max t_incr 1e-9 in
@@ -782,9 +756,7 @@ let e12 ~quick () =
   (* determinism matrix: -j 4 and cache cold/warm must reproduce the
      -j 1 cache-off fingerprint bit for bit *)
   let f1 = P.Merge.fingerprint r_incr in
-  let r_j4 =
-    P.Scheduler.analyze ~cfg:{ cfg with C.Config.jobs = 4 } p
-  in
+  let r_j4 = C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 4 } p in
   let j4_same = P.Merge.fingerprint r_j4 = f1 in
   Fmt.pr "-j 4 fingerprint identical to -j 1: %b@." j4_same;
   I.Summary.register ();

@@ -29,6 +29,30 @@ let read_file path =
 let print_json ?metrics ?interference (r : C.Analysis.result) : unit =
   print_string (Srv.Report.render ?metrics ?interference r ^ "\n")
 
+(* The --profile block: per-domain probes of the metrics registry, each
+   a call counter [key] and a wall-clock timer [key.time]. *)
+let profile_probes =
+  [
+    ("octagon close (full)", "oct.close.full");
+    ("octagon close (incremental)", "oct.close.incr");
+    ("octagon close (skipped, already closed)", "oct.close.skip");
+    ("octagon join", "oct.join");
+    ("octagon widen", "oct.widen");
+    ("env join", "env.join");
+    ("interval transfer (eval)", "itv.transfer");
+    ("widening (all domains)", "widen.total");
+  ]
+
+let print_profile ppf =
+  let module M = Astree_obs.Metrics in
+  Format.fprintf ppf "--- profile (cumulative, merged across workers) ---@.";
+  List.iter
+    (fun (label, key) ->
+      Format.fprintf ppf "%-42s %10d calls %12.6f s@." label
+        (M.value (M.counter key))
+        (M.timer_value (M.timer (key ^ ".time"))))
+    profile_probes
+
 let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
     unroll partitioned max_dt_bools useful_packs jobs cache_dir cache_mem
     no_cache timeout max_mem connect retries no_fallback format dump_invariants
@@ -36,7 +60,7 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
   if files = [] then `Error (false, "no input files")
   else
     try
-      if profile then Astree_domains.Profile.enabled := true;
+      if profile then Astree_obs.Metrics.timing := true;
       (* the trace sink is opened before any analysis work so frontend
          phase spans land in the file too; [Trace.close] at the end
          flushes whatever the ring still holds *)
@@ -93,7 +117,6 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
       in
       let multi_task = List.compare_length_with tasks 1 > 0 in
       let in_process () =
-        if jobs > 1 then Astree_parallel.Scheduler.register ();
         let cfg = Srv.Service.config_of options ~sources in
         if C.Config.cache_enabled cfg then Astree_incremental.Summary.register ();
         let p, _stats = C.Analysis.compile ~main sources in
@@ -158,7 +181,7 @@ let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
           print_string (C.Invariant_dump.to_string r);
         (* per-domain cumulative timings and counters, on stderr so the
            regular (text or JSON) output stays byte-identical *)
-        if profile then Astree_domains.Profile.report Format.err_formatter;
+        if profile then print_profile Format.err_formatter;
         if slice_alarms && r.C.Analysis.r_alarms <> [] then begin
           let g = S.Depgraph.build p in
           List.iter
@@ -291,7 +314,7 @@ let cmd =
         $ Arg.(value & opt (list string) [] & info [ "partition" ] ~doc:"Functions analyzed with trace partitioning (Sect. 7.1.5)")
         $ Arg.(value & opt int 3 & info [ "max-dtree-bools" ] ~doc:"Booleans per decision-tree pack (Sect. 7.2.3)")
         $ Arg.(value & opt (list int) [] & info [ "useful-packs" ] ~doc:"Octagon pack ids to keep (Sect. 7.2.2)")
-        $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc:"Workers for the parallel analysis (1 = sequential, 0 = one per core)")
+        $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc:"Workers for the per-task runs of a multi-task program (1 = sequential, 0 = one per core); a single-task program is always analyzed sequentially")
         $ Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc:"Persist function summaries in $(docv), reusing them across runs (results are unaffected)")
         $ flag "cache-mem" "In-memory function-summary cache for this run only"
         $ flag "no-cache" "Disable the summary cache, overriding $(b,--cache) and $(b,--cache-mem)"
@@ -305,7 +328,7 @@ let cmd =
         $ flag "census" "Print the main-loop invariant census (Sect. 9.4.1)"
         $ flag "slice" "Print a backward slice for each alarm (Sect. 3.3)"
         $ flag "profile" "Print per-domain cumulative timings and counters on stderr at exit (merged across workers)"
-        $ Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Write a structured event trace (one JSON object per line: phase spans, per-loop fixpoint records, call inlining, parallel dispatch, cache traffic, degradation) to $(docv)")
+        $ Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Write a structured event trace (one JSON object per line: phase spans, per-loop fixpoint records, call inlining, interference rounds, cache traffic, degradation) to $(docv)")
         $ Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc:"Write the unified metrics registry (counters, gauges, histograms, timers) as JSON to $(docv); with $(b,--format json) the registry is also embedded in the report")
         $ flag "explain" "After the report, print each alarm with its provenance: the inlining call chain, the abstract domain that raised it, and the abstract operand values"
         $ flag "verbose" "Print extra statistics"))

@@ -70,21 +70,12 @@ let useful_octagon_packs (r : result) : int list =
   Hashtbl.fold (fun id () acc -> id :: acc) r.r_actx.Transfer.oct_useful []
   |> List.sort Int.compare
 
-(** Installed by [Astree_parallel.Scheduler.register]: analyses with
-    [Config.jobs > 1] are routed through the parallel subsystem.  A hook
-    rather than a direct call so the core library does not depend on the
-    process-pool machinery.  The driver receives the run's session and
-    must build its context with it. *)
-let parallel_driver :
-    (Transfer.session -> Config.t -> F.Tast.program -> result) option ref =
-  ref None
-
 (** Installed by [Astree_incremental.Summary.register]: when
     [Config.cache_enabled cfg], the driver fingerprints the program,
     attaches the summary table to the session (loading the on-disk store
-    if configured), runs the wrapped analysis and fills [s_cache].  Same
-    hook pattern as [parallel_driver], and composable with it: the
-    cache driver wraps whichever execution path the inner thunk picks. *)
+    if configured), runs the wrapped analysis and fills [s_cache].  A
+    hook rather than a direct call so the core library does not depend
+    on the store. *)
 let cache_driver :
     (Transfer.session -> Config.t -> F.Tast.program -> (unit -> result) ->
     result)
@@ -92,70 +83,68 @@ let cache_driver :
     ref =
   ref None
 
+(** Publish a result's point-in-time measures as registry gauges for
+    the --metrics report (coordinator-set, excluded from worker
+    deltas). *)
+let set_gauges (r : result) : unit =
+  let s = r.r_stats in
+  Metrics.set_gauge "analysis.cells" s.s_cells;
+  Metrics.set_gauge "analysis.stmts" s.s_stmts;
+  Metrics.set_gauge "analysis.oct_packs" s.s_oct_packs;
+  Metrics.set_gauge "analysis.oct_useful" s.s_oct_useful;
+  Metrics.set_gauge "analysis.ell_packs" s.s_ell_packs;
+  Metrics.set_gauge "analysis.dt_packs" s.s_dt_packs;
+  Metrics.set_gauge "analysis.alarms" (n_alarms r)
+
 (** Analyze a typed program against an already-prepared context (the
-    parallel scheduler builds and pre-fills the context before forking
-    its workers, then runs the iterator through this entry point). *)
+    multi-task fixpoint builds and pre-fills one context per task run,
+    then runs the iterator through this entry point). *)
 let analyze_prepared (actx : Transfer.actx) (p : F.Tast.program) : result =
   let t0 = Unix.gettimeofday () in
   actx.Transfer.session.Transfer.ses_live <- Some actx;
   let final = in_span "phase.iterate" (fun () -> Iterator.run actx) in
   let t1 = Unix.gettimeofday () in
-  let alarms = Alarm.to_list actx.Transfer.alarms in
-  (* point-in-time program/result measures for the --metrics report
-     (gauges: coordinator-set, excluded from worker deltas) *)
-  Metrics.set_gauge "analysis.cells" (Cell.count actx.Transfer.intern);
-  Metrics.set_gauge "analysis.stmts" (F.Tast.program_size p);
-  Metrics.set_gauge "analysis.oct_packs"
-    (List.length actx.Transfer.packs.Packing.octs);
-  Metrics.set_gauge "analysis.oct_useful"
-    (Hashtbl.length actx.Transfer.oct_useful);
-  Metrics.set_gauge "analysis.ell_packs"
-    (List.length actx.Transfer.packs.Packing.ells);
-  Metrics.set_gauge "analysis.dt_packs"
-    (List.length actx.Transfer.packs.Packing.dts);
-  Metrics.set_gauge "analysis.alarms" (List.length alarms);
-  {
-    r_alarms = alarms;
-    r_final = final;
-    r_actx = actx;
-    r_stats =
-      {
-        s_globals_before = List.length p.F.Tast.p_globals;
-        s_globals_after = List.length p.F.Tast.p_globals;
-        s_cells = Cell.count actx.Transfer.intern;
-        s_stmts = F.Tast.program_size p;
-        s_oct_packs = List.length actx.Transfer.packs.Packing.octs;
-        s_oct_useful = Hashtbl.length actx.Transfer.oct_useful;
-        s_ell_packs = List.length actx.Transfer.packs.Packing.ells;
-        s_dt_packs = List.length actx.Transfer.packs.Packing.dts;
-        s_time = t1 -. t0;
-        s_cache = None;
-        s_degraded = None;
-      };
-  }
+  let r =
+    {
+      r_alarms = Alarm.to_list actx.Transfer.alarms;
+      r_final = final;
+      r_actx = actx;
+      r_stats =
+        {
+          s_globals_before = List.length p.F.Tast.p_globals;
+          s_globals_after = List.length p.F.Tast.p_globals;
+          s_cells = Cell.count actx.Transfer.intern;
+          s_stmts = F.Tast.program_size p;
+          s_oct_packs = List.length actx.Transfer.packs.Packing.octs;
+          s_oct_useful = Hashtbl.length actx.Transfer.oct_useful;
+          s_ell_packs = List.length actx.Transfer.packs.Packing.ells;
+          s_dt_packs = List.length actx.Transfer.packs.Packing.dts;
+          s_time = t1 -. t0;
+          s_cache = None;
+          s_degraded = None;
+        };
+    }
+  in
+  set_gauges r;
+  r
 
-(** Analyze a typed program, dispatching to the parallel subsystem when
-    [cfg.jobs > 1] and a driver is registered, and wrapping the run in
-    the summary-cache driver when caching is enabled.  With the cache
-    on, cells are pre-filled in program order even sequentially, so the
-    cell numbering (which summary keys depend on) is identical across
-    sequential, parallel, cold and warm runs.  [?session] threads an
-    existing session through (the daemon passes one per request); a
-    fresh one is created otherwise, so concurrent analyses never share
-    hooks. *)
+(** Analyze a typed program sequentially, whatever [cfg.jobs] says
+    (the worker count only drives batches and the multi-task fixpoint),
+    wrapping the run in the summary-cache driver when caching is
+    enabled.  With the cache on, cells are pre-filled in program order,
+    so the cell numbering (which summary keys depend on) is identical
+    across cold and warm runs.  [?session] threads an existing session
+    through (the daemon passes one per request); a fresh one is created
+    otherwise, so concurrent analyses never share hooks. *)
 let analyze ?session ?(cfg = Config.default) (p : F.Tast.program) : result =
   let session =
     match session with Some s -> s | None -> Transfer.new_session ()
   in
   let core () =
-    match !parallel_driver with
-    | Some driver when cfg.Config.jobs > 1 -> driver session cfg p
-    | _ ->
-        let actx = Transfer.make_actx ~session cfg p in
-        if Config.cache_enabled cfg || Option.is_some session.Transfer.ses_memo
-        then
-          Transfer.prefill_cells actx;
-        analyze_prepared actx p
+    let actx = Transfer.make_actx ~session cfg p in
+    if Config.cache_enabled cfg || Option.is_some session.Transfer.ses_memo
+    then Transfer.prefill_cells actx;
+    analyze_prepared actx p
   in
   in_span "phase.analyze" (fun () ->
       match !cache_driver with

@@ -51,9 +51,8 @@ val n_alarms : result -> int
     [Config.useful_packs_only] (Sect. 7.2.2). *)
 val useful_octagon_packs : result -> int list
 
-(** Analyze an already-compiled program.  When [cfg.jobs > 1] and the
-    parallel subsystem has registered itself, the analysis is dispatched
-    to its process pool (results are identical to the sequential run).
+(** Analyze an already-compiled program, sequentially: [cfg.jobs] only
+    sizes the pools of batches and of the multi-task fixpoint.
     [?session] threads an existing {!Transfer.session} through (the
     analysis server passes one per request); a fresh session is created
     otherwise, so concurrent analyses in one process never share
@@ -64,21 +63,17 @@ val analyze :
   Astree_frontend.Tast.program ->
   result
 
-(** Analyze against an already-prepared context (used by the parallel
-    scheduler, which pre-fills the context before forking workers). *)
+(** Analyze against an already-prepared context (used by the multi-task
+    fixpoint, which pre-fills one context per task run). *)
 val analyze_prepared : Transfer.actx -> Astree_frontend.Tast.program -> result
 
-(** Parallel-analysis driver hook, installed by
-    [Astree_parallel.Scheduler.register].  Receives the run's session
-    and must build its context with it. *)
-val parallel_driver :
-  (Transfer.session -> Config.t -> Astree_frontend.Tast.program -> result)
-  option
-  ref
+(** Publish a result's point-in-time measures (cells, statements, pack
+    counts, alarms) as the [analysis.*] registry gauges. *)
+val set_gauges : result -> unit
 
 (** Summary-cache driver hook, installed by
     [Astree_incremental.Summary.register].  Wraps the analysis thunk
-    when [Config.cache_enabled]; composes with [parallel_driver]. *)
+    when [Config.cache_enabled]. *)
 val cache_driver :
   (Transfer.session ->
   Config.t ->

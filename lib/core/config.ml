@@ -59,10 +59,11 @@ type t = {
           functional maps — only for the E5 ablation *)
   (* ---- parallel analysis (Astree_parallel, Monniaux 05 direction) -- *)
   jobs : int;
-      (** number of worker processes; [1] keeps the analysis strictly
-          sequential, [n > 1] dispatches independent jobs (trace
-          partitions, dispatch branches, whole-program batch items) to a
-          fork-based pool whose results are merged deterministically *)
+      (** number of worker processes; [n > 1] runs the per-task
+          analyses of a multi-task program on a fork-based pool whose
+          results are merged deterministically.  A single-task program
+          is always analyzed sequentially (batches take their own
+          worker count) *)
   (* ---- incremental analysis (Astree_incremental) ------------------- *)
   summary_cache : cache;
       (** function-summary memoization: identical (callee fingerprint,

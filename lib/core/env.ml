@@ -9,6 +9,7 @@
     quadratic ("the execution time was divided by seven"). *)
 
 module D = Astree_domains
+module Metrics = Astree_obs.Metrics
 
 type t =
   | Shared of Avalue.t Ptmap.t
@@ -97,9 +98,12 @@ let lift2_naive (f : Avalue.t -> Avalue.t -> Avalue.t) a b =
   done;
   Naive r
 
+let c_join = Metrics.counter "env.join"
+let t_join = Metrics.timer "env.join.time"
+
 let join (a : t) (b : t) : t =
-  Astree_domains.Profile.count Astree_domains.Profile.env_join;
-  let t0 = Astree_domains.Profile.start () in
+  Metrics.incr c_join;
+  let t0 = Metrics.start () in
   let r =
     match (a, b) with
     | Shared ma, Shared mb ->
@@ -110,7 +114,7 @@ let join (a : t) (b : t) : t =
     | Naive ma, Naive mb -> lift2_naive Avalue.join ma mb
     | _ -> invalid_arg "Env.join: mixed representations"
   in
-  Astree_domains.Profile.stop Astree_domains.Profile.env_join t0;
+  Metrics.stop t_join t0;
   r
 
 let meet (a : t) (b : t) : t =

@@ -11,6 +11,7 @@
 
 module F = Astree_frontend
 module D = Astree_domains
+module Metrics = Astree_obs.Metrics
 open F.Tast
 
 type binds = lval VarMap.t
@@ -21,8 +22,8 @@ type binds = lval VarMap.t
 (* Session types (reentrancy seam, ISSUE 6)                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The iterator's extension hooks — the parallel dispatcher, the
-   function-summary memo and the resource-governor tick — used to be
+(* The iterator's extension hooks — the function-summary memo, the
+   resource-governor tick and the interference context — used to be
    module-global refs, which made [Analysis] a process, not a value:
    two concurrent analyses with different options would clobber each
    other's hooks.  They now live in a per-analysis {!session} record
@@ -69,21 +70,10 @@ type capture_delta = {
           so summary replay keeps the interference guarantee complete *)
 }
 
-(** Flow-separated analysis outcome of a statement or block.  [o_norm]
-    is a disjunction of abstract states (a singleton except under trace
-    partitioning). *)
-type outcome = {
-  o_norm : Astate.t list;
-  o_brk : Astate.t;
-  o_cont : Astate.t;
-  o_ret : Astate.t;
-  o_retv : D.Itv.t;
-}
-
 (** Everything one analyzed call produced: the state at the return
     point, the merged return value, and the side effects on the
-    context's bookkeeping.  Pure data — marshalled into parallel deltas
-    and into the on-disk store. *)
+    context's bookkeeping.  Pure data — marshalled into the on-disk
+    store. *)
 type summary = {
   sm_exit : Astate.t;  (** state after the return-point trace merge *)
   sm_retv : D.Itv.t;   (** return value (Bot for void / no return) *)
@@ -107,10 +97,6 @@ type call_memo = {
       (** [None]: this call is not cacheable (unknown fingerprint) *)
   cm_find : summary_key -> summary option;
   cm_add : summary_key -> summary -> unit;
-  cm_fresh : (summary_key * summary) list ref;
-      (** summaries computed by this process since the last drain, in
-          computation order — parallel workers ship them back in their
-          job deltas *)
   cm_hits : int ref;
   cm_misses : int ref;
   cm_want : string -> bool;
@@ -118,43 +104,6 @@ type call_memo = {
           per session from the transitive inlined size of each function
           against [Iterator.memo_min_stmts] *)
 }
-
-(** A unit of work shipped to a worker: pure data, marshalled. *)
-type par_work =
-  | Pw_block of block  (** execute a block (a conditional branch) *)
-  | Pw_call of { dst : var option; fname : string; args : arg list }
-
-type par_job = {
-  pj_work : par_work;
-  pj_binds : binds;
-  pj_stack : string list;
-  pj_part : bool;
-  pj_state : Astate.t;  (** the single entry state of the job *)
-  pj_checking : bool;   (** alarm-collector mode at the dispatch point *)
-}
-
-(** Side effects of a job on the analysis context, replayed by the
-    parent in job order so that merged results are deterministic. *)
-type par_delta = {
-  pd_alarms : Alarm.t list;
-  pd_invariants : (int * Astate.t) list;  (** loop id -> head invariant *)
-  pd_joins : int;
-  pd_oct_useful : int list;
-  pd_summaries : (summary_key * summary) list;
-      (** summaries freshly computed while running the job, shipped back
-          so the parent (and later jobs) reuse them *)
-  pd_cache_hits : int;
-  pd_cache_misses : int;
-  pd_metrics : Astree_obs.Metrics.snapshot;
-      (** registry delta accumulated while running the job (profile
-          probes included), absorbed by the parent at merge so [-j n]
-          reports are as complete as sequential ones *)
-  pd_events : Astree_obs.Trace.event list;
-      (** trace events emitted while running the job, re-emitted by the
-          parent in job order *)
-}
-
-type par_reply = { pr_out : outcome; pr_delta : par_delta }
 
 (** Per-analysis session: every hook and piece of cross-cutting mutable
     state one analysis run needs, bundled so that concurrent analyses
@@ -164,8 +113,6 @@ type par_reply = { pr_out : outcome; pr_delta : par_delta }
 type session = {
   mutable ses_memo : call_memo option;
       (** function-summary memo, installed by [Astree_incremental] *)
-  mutable ses_par_hook : (par_job list -> par_reply option list) option;
-      (** parallel dispatch, installed by [Astree_parallel.Scheduler] *)
   mutable ses_tick_hook : (unit -> unit) option;
       (** consulted every 256 abstract statements (resource governor) *)
   mutable ses_ticks : int;
@@ -210,7 +157,6 @@ and actx = {
 let new_session () : session =
   {
     ses_memo = None;
-    ses_par_hook = None;
     ses_tick_hook = None;
     ses_ticks = 0;
     ses_preload = [];
@@ -879,16 +825,19 @@ and refine_linear ?var_hook (a : actx) (st : Astate.t) (err : bool ref)
    wrapper while the internal recursion stays on the raw [eval], so the
    interval-transfer probe meters each top-level evaluation exactly
    once. *)
+let c_itv_transfer = Metrics.counter "itv.transfer"
+let t_itv_transfer = Metrics.timer "itv.transfer.time"
+
 let eval ?var_hook (a : actx) (st : Astate.t) (binds : binds)
     (err : bool ref) (e : expr) : D.Itv.t =
-  D.Profile.count D.Profile.itv_transfer;
-  let t0 = D.Profile.start () in
+  Metrics.incr c_itv_transfer;
+  let t0 = Metrics.start () in
   match eval ?var_hook a st binds err e with
   | r ->
-      D.Profile.stop D.Profile.itv_transfer t0;
+      Metrics.stop t_itv_transfer t0;
       r
   | exception exn ->
-      D.Profile.stop D.Profile.itv_transfer t0;
+      Metrics.stop t_itv_transfer t0;
       raise exn
 
 (* ------------------------------------------------------------------ *)
@@ -1864,14 +1813,15 @@ let initial_state (a : actx) : Astate.t =
   Astate.make ~env:!env ~rel:(Relstate.top a.packs) ~clock
 
 (* ------------------------------------------------------------------ *)
-(* Parallel-analysis support                                            *)
+(* Cell numbering                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (** Intern every cell the analysis could ever touch, in deterministic
-    program order.  The parallel subsystem calls this before forking its
-    worker pool so that parent and workers share one complete, frozen
-    cell numbering: abstract states marshalled between processes then
-    agree on cell ids by construction. *)
+    program order.  Cached runs and the per-task runs of the multi-task
+    fixpoint call this first, so every run of one program shares one
+    complete, frozen cell numbering: summary keys, states shipped back
+    from pool workers and joined per-task invariants then agree on cell
+    ids by construction. *)
 let prefill_cells (a : actx) : unit =
   let intern_var (v : var) =
     List.iter

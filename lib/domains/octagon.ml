@@ -22,6 +22,19 @@
     floating-point numbers". *)
 
 module F = Astree_frontend
+module Metrics = Astree_obs.Metrics
+
+(* --profile probes: call counters (always on) and wall-clock timers
+   (only when [Metrics.timing] is set) *)
+let c_close_full = Metrics.counter "oct.close.full"
+let c_close_incr = Metrics.counter "oct.close.incr"
+let c_close_skip = Metrics.counter "oct.close.skip"
+let c_join = Metrics.counter "oct.join"
+let c_widen = Metrics.counter "oct.widen"
+let t_close_full = Metrics.timer "oct.close.full.time"
+let t_close_incr = Metrics.timer "oct.close.incr.time"
+let t_join = Metrics.timer "oct.join.time"
+let t_widen = Metrics.timer "oct.widen.time"
 
 type closure_state =
   | Closed
@@ -137,8 +150,8 @@ let check_empty (o : t) : unit =
     over-approximation. *)
 let close (o : t) : unit =
   if not o.bot then begin
-    Profile.count Profile.oct_close_full;
-    let t0 = Profile.start () in
+    Metrics.incr c_close_full;
+    let t0 = Metrics.start () in
     let n2 = o.n2 and m = o.m in
     (* Mine's strong closure: one Floyd-Warshall step through both
        polarities of each variable, followed by the octagonal
@@ -151,7 +164,7 @@ let close (o : t) : unit =
       strengthen_pass m n2
     done;
     check_empty o;
-    Profile.stop Profile.oct_close_full t0
+    Metrics.stop t_close_full t0
   end;
   o.closure <- Closed
 
@@ -219,16 +232,16 @@ let close_incremental (o : t) : unit =
   else if o.bot then o.closure <- Closed
   else
     match o.closure with
-    | Closed -> Profile.count Profile.oct_close_skip
+    | Closed -> Metrics.incr c_close_skip
     | Unclosed -> close o
     | Dirty set ->
         let n = Array.length o.pack in
         if 2 * popcount set >= n then close o
         else begin
-          Profile.count Profile.oct_close_incr;
-          let t0 = Profile.start () in
+          Metrics.incr c_close_incr;
+          let t0 = Metrics.start () in
           close_incremental_set o set;
-          Profile.stop Profile.oct_close_incr t0;
+          Metrics.stop t_close_incr t0;
           o.closure <- Closed
         end
 
@@ -240,8 +253,8 @@ let join (a : t) (b : t) : t =
   if a.bot then copy b
   else if b.bot then copy a
   else begin
-    Profile.count Profile.oct_join;
-    let t0 = Profile.start () in
+    Metrics.incr c_join;
+    let t0 = Metrics.start () in
     let nn = a.n2 * a.n2 in
     let am = a.m and bm = b.m in
     let rm = Array.make nn 0.0 in
@@ -258,7 +271,7 @@ let join (a : t) (b : t) : t =
       | Closed, Closed -> Closed
       | _ -> Unclosed
     in
-    Profile.stop Profile.oct_join t0;
+    Metrics.stop t_join t0;
     { a with m = rm; bot = false; closure }
   end
 
@@ -292,14 +305,14 @@ let widen ~(thresholds : Thresholds.t) (a : t) (b : t) : t =
   if a.bot then copy b
   else if b.bot then copy a
   else begin
-    Profile.count Profile.oct_widen;
-    let t0 = Profile.start () in
+    Metrics.incr c_widen;
+    let t0 = Metrics.start () in
     let nn = a.n2 * a.n2 in
     let rm = Array.copy a.m in
     for i = 0 to nn - 1 do
       if b.m.(i) > a.m.(i) then rm.(i) <- Float.infinity
     done;
-    Profile.stop Profile.oct_widen t0;
+    Metrics.stop t_widen t0;
     { a with m = rm; bot = false; closure = Unclosed }
   end
 

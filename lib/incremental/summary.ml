@@ -11,10 +11,7 @@
 
     The driver installs the table in the run's session
     ({!Astree_core.Transfer.session.ses_memo}) before running the
-    wrapped analysis, so the parallel scheduler's forked workers
-    inherit both the table and the pre-loaded store; workers
-    ship fresh summaries back in their job deltas and the parent absorbs
-    them in job order (keep-first, deterministic). *)
+    wrapped analysis, and persists it when the run ends. *)
 
 module F = Astree_frontend
 module C = Astree_core
@@ -94,8 +91,7 @@ type session = {
 (** Fingerprint the program, build the summary table (populated from
     [ses.ses_preload] first — the daemon's resident entries — then from
     the on-disk store under [Cache_dir], keep-first) and install it in
-    the analysis session.  Call before the analysis — and before the
-    parallel pool forks, so workers inherit the hot table. *)
+    the analysis session.  Call before the analysis. *)
 let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
     : session =
   let fps = Fingerprint.make cfg p in
@@ -129,11 +125,10 @@ let attach (ses : C.Transfer.session) (cfg : C.Config.t) (p : F.Tast.program)
     {
       C.Iterator.cm_key = key_fn fps;
       cm_find = Hashtbl.find_opt tbl;
-      (* keep-first: a key determines its summary, so re-adding (e.g.
-         replaying worker deltas) can never change an entry *)
+      (* keep-first: a key determines its summary, so re-adding can
+         never change an entry *)
       cm_add =
         (fun k s -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k s);
-      cm_fresh = ref [];
       cm_hits = ref 0;
       cm_misses = ref 0;
       cm_want =

@@ -2,10 +2,12 @@
     and log2 histograms, shared by every subsystem of the analyzer.
 
     This is the one place analysis-wide measurements live.  The
-    per-domain [Profile] probes are thin wrappers over entries here, the
-    iterator and the caches register their own counters, and the
-    parallel subsystem ships worker-side {!snapshot} deltas back in job
-    replies so a [-j n] report is as complete as a sequential one.
+    per-domain [--profile] probes are plain entries here (a counter
+    [key] and a timer [key.time] per probe: [oct.close.full], ...,
+    [widen.total]), the iterator and the caches register their own
+    counters, and the parallel subsystem ships worker-side {!snapshot}
+    deltas back in job replies so a [-j n] report is as complete as a
+    sequential one.
 
     {b Cost model.}  Bumping a counter is one record-field increment;
     timers only read the clock when {!timing} is set, so the default
@@ -22,12 +24,10 @@
     fixpoint reports under [conc.*]: the [conc.rounds] counter (outer
     rounds run) and the [conc.tasks] / [conc.interference_vars] gauges
     (task and shared-variable count of the last multi-task run); its
-    per-round trace spans are named [conc.round].  Two exceptions sit outside that
-    contract: scheduling counters ([par.*] — a sequential run dispatches
-    nothing) and work counters on sharing-elided paths ([oct.join]
-    counts {e performed} pack joins, most of which the sequential run
-    skips through the Ptmap physical-sharing short-cut that [Marshal]
-    destroys for worker replies).  Timer values are wall-clock and never
+    per-round trace spans are named [conc.round].  One counter sits
+    outside that contract: [conc.fallbacks] counts per-task jobs a pool
+    worker failed to answer (recomputed in-process), 0 unless a worker
+    crashed or hung.  Timer values are wall-clock and never
     deterministic. *)
 
 (** {1 Global switches} *)
@@ -144,5 +144,5 @@ val reset : unit -> unit
 (** Zero every entry (registrations survive). *)
 
 val reset_named : string -> unit
-(** Zero one entry by name (no-op if unregistered).  Used by wrappers
-    such as [Profile.reset] that own a known slice of the registry. *)
+(** Zero one entry by name (no-op if unregistered), e.g. the octagon
+    closure counters between two runs of one benchmark. *)

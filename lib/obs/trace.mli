@@ -46,8 +46,8 @@ val with_time : bool ref
 val capacity : int ref
 (** Most recent events retained in ring mode (no sink); default 65536.
     Each eviction bumps the [trace.dropped] metrics counter so capacity
-    loss is visible to operators; like [par.*], that counter depends on
-    buffer sizing and sits outside the determinism contract. *)
+    loss is visible to operators; that counter depends on buffer sizing
+    and sits outside the determinism contract. *)
 
 (** {1 Emission} *)
 

@@ -1,30 +1,26 @@
-(** The parallel scheduler: splits an analysis into pool jobs along two
-    axes and merges the replies deterministically.
+(** The parallel scheduler: whole-program batch jobs served by the fork
+    pool, with deterministic merge and a retry-once-then-sequential
+    fault policy.
 
-    {b Axis (a) — intra-program.}  The iterator already analyzes some
-    program fragments from several independent entry states and joins
-    the outcomes: the two branches of a dispatch conditional, and the
-    trace-partition disjuncts flowing into a call (Sect. 7.1.5).  The
-    scheduler ships each disjunct to a worker ([Iterator.par_job]) and
-    the parent replays the workers' deltas in job order, performing the
-    very joins the sequential iterator would — results are identical to
-    [-j 1] by construction.
-
-    {b Axis (b) — batch.}  Whole-program analyses (a family sweep, a
+    {b Batch.}  Whole-program analyses (a family sweep, a
     parameter-refinement ladder) are embarrassingly parallel: each
-    worker runs one full analysis and ships the result back.
+    worker runs one full analysis and ships the result back.  The
+    multi-task interference fixpoint ([Astree_conc]) runs its per-task
+    analyses on the same pool.  A single-task program is analyzed
+    sequentially at any [-j]: its conditional branches and
+    trace-partition disjuncts are too small to pay for a worker round
+    trip (DESIGN.md §7).
 
-    {b One pool.}  Both axes, and the multi-task interference fixpoint,
-    run on the fork {!Pool}: workers inherit the prepared context by
-    copy-on-write and exchange marshalled jobs and replies over pipes.
-    Fault injection and the resource budget live in process-global
-    state that the workers inherit, and a hung or crashed worker can be
-    killed and respawned.  Each worker ships its registry delta with its
-    reply; the parent absorbs the deltas in job order, so reports merge
-    deterministically.  An OCaml 5 domains pool once served the same
-    jobs by reference; it lost to fork on every measured batch and, once
-    a domain had been spawned, left the process unable to fork, so it
-    was removed (DESIGN.md §14).
+    {b One pool.}  Batches run on the fork {!Pool}: workers inherit the
+    caller's heap by copy-on-write and exchange marshalled jobs and
+    replies over pipes.  Fault injection and the resource budget live in
+    process-global state that the workers inherit, and a hung or crashed
+    worker can be killed and respawned.  Each worker ships its registry
+    delta with its reply; the parent absorbs the deltas in job order, so
+    reports merge deterministically.  An OCaml 5 domains pool once
+    served the same jobs by reference; it lost to fork on every measured
+    batch and, once a domain had been spawned, left the process unable
+    to fork, so it was removed (DESIGN.md §14).
 
     {b Fault policy.}  A failed job (crashed or timed-out worker) is
     retried once; if that also fails, the job is recomputed in-process
@@ -38,10 +34,8 @@ module Trace = Astree_obs.Trace
 (** Default worker count: the machine's available cores. *)
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
-(** Per-job wall-clock budgets (seconds) before a worker is presumed
+(** Per-job wall-clock budget (seconds) before a worker is presumed
     hung, killed and its job retried. *)
-let intra_job_timeout = ref 600.
-
 let batch_job_timeout = ref 3600.
 
 (** Map with the retry-once policy: every [Error] slot of the first
@@ -71,51 +65,6 @@ let map_retry (pmap : 'a list -> ('b, string) result list) (jobs : 'a list) :
       first
   end
 
-(* ------------------------------------------------------------------ *)
-(* Axis (a): intra-program disjunct jobs                               *)
-(* ------------------------------------------------------------------ *)
-
-(** Analyze [p] with [cfg.jobs] workers.  The context is built and
-    every cell interned {e before} any dispatch, so coordinator and
-    workers share one frozen cell numbering and shipped states mean the
-    same thing on both sides. *)
-let analyze ?session ?(cfg = C.Config.default) (p : F.Tast.program) :
-    C.Analysis.result =
-  let ses =
-    match session with Some s -> s | None -> C.Transfer.new_session ()
-  in
-  let jobs = cfg.C.Config.jobs in
-  if jobs <= 1 then
-    C.Analysis.analyze ~session:ses ~cfg:{ cfg with C.Config.jobs = 1 } p
-  else begin
-    let actx = C.Transfer.make_actx ~session:ses cfg p in
-    C.Transfer.prefill_cells actx;
-    (* drain buffered trace events to the sink before dispatching:
-       workers would otherwise inherit (and possibly re-write) the
-       buffered bytes *)
-    Trace.flush ();
-    (* workers inherit the prepared context (including any summary
-       memo) by copy-on-write *)
-    Pool.with_pool ~jobs
-      (fun job -> C.Iterator.par_run_job actx job)
-      (fun pool ->
-        ses.C.Transfer.ses_par_hook <-
-          Some (map_retry (Pool.map ~timeout:!intra_job_timeout pool));
-        Fun.protect
-          ~finally:(fun () -> ses.C.Transfer.ses_par_hook <- None)
-          (fun () -> C.Analysis.analyze_prepared actx p))
-  end
-
-(** Install the parallel driver: after this, [Analysis.analyze] with
-    [cfg.jobs > 1] routes through [analyze] above. *)
-let register () =
-  C.Analysis.parallel_driver :=
-    Some (fun ses cfg p -> analyze ~session:ses ~cfg p)
-
-(* ------------------------------------------------------------------ *)
-(* Axis (b): whole-program batch jobs                                  *)
-(* ------------------------------------------------------------------ *)
-
 type batch_source =
   | Bs_program of F.Tast.program  (** already compiled *)
   | Bs_sources of (string * string) list  (** (filename, contents) pairs *)
@@ -138,7 +87,7 @@ let run_batch_job (bj : batch_job) : C.Analysis.result =
   | Bs_program p -> C.Analysis.analyze ~cfg p
   | Bs_sources srcs -> C.Analysis.analyze_sources ~cfg ~main:bj.bj_main srcs
 
-(* Worker-side wrapper for the batch axis: detach the inherited trace
+(* Worker-side wrapper for batch jobs: detach the inherited trace
    sink and ship the job's registry delta back with the result, so
    profile probes and iterator counters cover batch runs too. *)
 let run_batch_job_delta (bj : batch_job) :

@@ -101,6 +101,19 @@ let mark (r : C.Analysis.result) (dg : C.Analysis.degraded) :
 (* Partial result on interrupt                                          *)
 (* ------------------------------------------------------------------ *)
 
+(** The record of an interrupted run: nothing was shed, the run just
+    stopped early. *)
+let interrupted_record : C.Analysis.degraded =
+  {
+    C.Analysis.dg_reason = "interrupted";
+    dg_level = 0;
+    dg_shed_oct_packs = 0;
+    dg_shed_ell_packs = 0;
+    dg_shed_dt_packs = 0;
+    dg_partitioning_disabled = false;
+    dg_widening_accelerated = false;
+  }
+
 (** Assemble what the interrupted run had: every alarm raised so far
     (sound for the traces explored — the run did not finish, which is
     exactly what the ["interrupted"] marker says).  The final state is
@@ -128,17 +141,7 @@ let interrupted_result (ses : C.Transfer.session) (cfg : C.Config.t)
         s_dt_packs = List.length actx.C.Transfer.packs.C.Packing.dts;
         s_time = 0.;
         s_cache = None;
-        s_degraded =
-          Some
-            {
-              C.Analysis.dg_reason = "interrupted";
-              dg_level = 0;
-              dg_shed_oct_packs = 0;
-              dg_shed_ell_packs = 0;
-              dg_shed_dt_packs = 0;
-              dg_partitioning_disabled = false;
-              dg_widening_accelerated = false;
-            };
+        s_degraded = Some interrupted_record;
       };
   }
 
@@ -146,31 +149,27 @@ let interrupted_result (ses : C.Transfer.session) (cfg : C.Config.t)
 (* The governed analysis                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** Analyze [p] under the resource budget of [cfg].  Without a budget
-    and without signal handlers this is exactly [Analysis.analyze];
-    otherwise the iterator tick polls the budget, and a trip walks the
-    degradation ladder.  The returned result carries
-    [stats.s_degraded = Some _] iff precision was shed or the run was
-    interrupted. *)
-let analyze ?session ?(cfg = C.Config.default) (p : F.Tast.program) :
-    C.Analysis.result =
-  let ses =
-    match session with Some s -> s | None -> C.Transfer.new_session ()
-  in
+(** Run [run] under the resource budget of [cfg], walking the ladder on
+    a trip.  [run ~tick acfg] analyzes [p] at configuration [acfg],
+    calling [tick] (when given) from the statement tick of every
+    analysis it performs; [interrupted acfg] assembles the partial
+    result of an interrupted attempt and [mark r dg] records a
+    degradation in a result.  Without a budget and without signal
+    handlers this is exactly [run ~tick:None cfg]. *)
+let govern ~(cfg : C.Config.t) (p : F.Tast.program)
+    ~(run : tick:(unit -> unit) option -> C.Config.t -> 'r)
+    ~(interrupted : C.Config.t -> 'r)
+    ~(mark : 'r -> C.Analysis.degraded -> 'r) : 'r =
   let watching =
     cfg.C.Config.timeout > 0.
     || cfg.C.Config.max_mem_mb > 0
     || Budget.handlers_active ()
     || Budget.interrupt_pending ()
   in
-  if not watching then C.Analysis.analyze ~session:ses ~cfg p
+  if not watching then run ~tick:None cfg
   else begin
-    ses.C.Transfer.ses_tick_hook <- Some Budget.poll;
-    Fun.protect
-      ~finally:(fun () ->
-        ses.C.Transfer.ses_tick_hook <- None;
-        Budget.disarm ())
-      (fun () ->
+    let tick = Some Budget.poll in
+    Fun.protect ~finally:Budget.disarm (fun () ->
         let t0 = Unix.gettimeofday () in
         let timeout = cfg.C.Config.timeout in
         let hard = if timeout > 0. then t0 +. (2.0 *. timeout) else infinity in
@@ -194,7 +193,7 @@ let analyze ?session ?(cfg = C.Config.default) (p : F.Tast.program) :
           Budget.arm ~deadline:(deadline_at level)
             ~max_mem_mb:cfg.C.Config.max_mem_mb ();
           let acfg = config_at ~level cfg in
-          match C.Analysis.analyze ~session:ses ~cfg:acfg p with
+          match run ~tick acfg with
           | r ->
               if level = 0 then r
               else mark r (degraded_record cfg p ~reason:!last_reason ~level)
@@ -202,7 +201,7 @@ let analyze ?session ?(cfg = C.Config.default) (p : F.Tast.program) :
               if !Astree_obs.Trace.enabled then
                 Astree_obs.Trace.emit "budget.interrupt"
                   ~args:[ ("level", Astree_obs.Trace.I level) ];
-              interrupted_result ses acfg p
+              interrupted acfg
           | exception Budget.Tripped reason ->
               last_reason := reason;
               if !Astree_obs.Trace.enabled then
@@ -223,12 +222,27 @@ let analyze ?session ?(cfg = C.Config.default) (p : F.Tast.program) :
                    (if coarse) result rather than nothing *)
                 Budget.disarm ();
                 mark
-                  (C.Analysis.analyze ~session:ses
-                     ~cfg:(config_at ~level:max_level cfg)
-                     p)
+                  (run ~tick (config_at ~level:max_level cfg))
                   (degraded_record cfg p ~reason ~level:max_level)
               end
               else attempt (level + 1)
         in
         attempt 0)
   end
+
+(** Analyze [p] under the resource budget of [cfg]: {!govern} around
+    [Analysis.analyze], with the budget polled from the session's tick
+    hook.  The returned result carries [stats.s_degraded = Some _] iff
+    precision was shed or the run was interrupted. *)
+let analyze ?session ?(cfg = C.Config.default) (p : F.Tast.program) :
+    C.Analysis.result =
+  let ses =
+    match session with Some s -> s | None -> C.Transfer.new_session ()
+  in
+  govern ~cfg p ~mark
+    ~run:(fun ~tick acfg ->
+      ses.C.Transfer.ses_tick_hook <- tick;
+      Fun.protect
+        ~finally:(fun () -> ses.C.Transfer.ses_tick_hook <- None)
+        (fun () -> C.Analysis.analyze ~session:ses ~cfg:acfg p))
+    ~interrupted:(fun acfg -> interrupted_result ses acfg p)

@@ -77,9 +77,6 @@ type config = {
                                  with dirty state) *)
   d_config_file : string option;
       (** JSON config overlay reread on SIGHUP *)
-  d_default_jobs : int;      (** default [-j] applied when a request
-                                 brings none; [0] = leave the request's
-                                 per-core default *)
   d_restarts : int;          (** supervisor restart count, surfaced in
                                  [status] (set via [ASTREED_RESTARTS]) *)
   d_supervised : bool;       (** running under [astreed --supervise] *)

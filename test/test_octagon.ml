@@ -4,6 +4,10 @@ module F = Astree_frontend
 module D = Astree_domains
 module O = D.Octagon
 module LF = D.Linear_form
+module Metrics = Astree_obs.Metrics
+
+(* the octagon's closure counters in the metrics registry *)
+let closures key = Metrics.value (Metrics.counter key)
 
 let mkvar =
   let next = ref 1000 in
@@ -289,11 +293,11 @@ let test_incremental_path () =
   let a = O.copy o and b = O.copy o in
   O.add_diff_le a pack.(2) pack.(0) 1.0;
   O.add_diff_le b pack.(2) pack.(0) 1.0;
-  let incr0 = D.Profile.counter D.Profile.oct_close_incr in
+  let incr0 = closures "oct.close.incr" in
   O.close_incremental a;
   Alcotest.(check int)
     "incremental algorithm used" (incr0 + 1)
-    (D.Profile.counter D.Profile.oct_close_incr);
+    (closures "oct.close.incr");
   O.close b;
   Alcotest.(check bool) "same bottom" (O.is_bot a) (O.is_bot b);
   Alcotest.(check bool) "same matrix" true (a.O.m = b.O.m)
@@ -313,20 +317,20 @@ let test_join_zero_closure_work () =
   O.close b;
   Alcotest.(check bool) "a closed" true (a.O.closure = O.Closed);
   Alcotest.(check bool) "b closed" true (b.O.closure = O.Closed);
-  let full0 = D.Profile.counter D.Profile.oct_close_full in
-  let incr0 = D.Profile.counter D.Profile.oct_close_incr in
+  let full0 = closures "oct.close.full" in
+  let incr0 = closures "oct.close.incr" in
   let j = O.join a b in
   Alcotest.(check int) "join: no full closure" full0
-    (D.Profile.counter D.Profile.oct_close_full);
+    (closures "oct.close.full");
   Alcotest.(check int) "join: no incremental closure" incr0
-    (D.Profile.counter D.Profile.oct_close_incr);
+    (closures "oct.close.incr");
   Alcotest.(check bool) "join of closed is closed" true
     (j.O.closure = O.Closed);
   O.close_incremental j;
   Alcotest.(check int) "re-closing the join is free" full0
-    (D.Profile.counter D.Profile.oct_close_full);
+    (closures "oct.close.full");
   Alcotest.(check int) "re-closing the join is free (incr)" incr0
-    (D.Profile.counter D.Profile.oct_close_incr)
+    (closures "oct.close.incr")
 
 (* Widening results must stay unclosed (the classical termination
    condition), and the next closure request falls back to the full
@@ -341,10 +345,10 @@ let test_widen_unclosed () =
   let w = O.widen ~thresholds:D.Thresholds.default a b in
   Alcotest.(check bool) "widen result unclosed" true
     (w.O.closure = O.Unclosed);
-  let full0 = D.Profile.counter D.Profile.oct_close_full in
+  let full0 = closures "oct.close.full" in
   O.close_incremental w;
   Alcotest.(check int) "unclosed falls back to full closure" (full0 + 1)
-    (D.Profile.counter D.Profile.oct_close_full);
+    (closures "oct.close.full");
   Alcotest.(check bool) "then closed" true (w.O.closure = O.Closed)
 
 (* Allocation regression for the closure kernels: on a 6-variable pack,
@@ -376,13 +380,13 @@ let test_closure_allocation () =
       Alcotest.failf "%s allocates %.0f minor words per call (limit 64)"
         name words
   in
-  let saved = !D.Profile.enabled in
-  D.Profile.enabled := false;
+  let saved = !Metrics.timing in
+  Metrics.timing := false;
   Fun.protect
-    ~finally:(fun () -> D.Profile.enabled := saved)
+    ~finally:(fun () -> Metrics.timing := saved)
     (fun () ->
       per_call "close" Fun.id O.close;
-      let incr0 = D.Profile.counter D.Profile.oct_close_incr in
+      let incr0 = closures "oct.close.incr" in
       per_call "close_incremental"
         (fun c ->
           O.add_diff_le c pack.(3) pack.(0) 1.0;
@@ -390,7 +394,7 @@ let test_closure_allocation () =
         O.close_incremental;
       Alcotest.(check int)
         "incremental algorithm used" (incr0 + calls)
-        (D.Profile.counter D.Profile.oct_close_incr))
+        (closures "oct.close.incr"))
 
 let suite =
   [

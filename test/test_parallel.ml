@@ -1,10 +1,13 @@
 (* Parallel-subsystem tests: the worker pool survives exceptions,
    crashes and timeouts; the deterministic merge reproduces the
    sequential collector's policy; and -j n analyses produce exactly the
-   alarms, invariants and final states of -j 1 — including when workers
-   are killed under foot. *)
+   alarms, invariants and final states of -j 1 — single-task programs
+   through the public entry point, batches and multi-task programs on
+   the pool, including when workers are killed under foot. *)
 
 module C = Astree_core
+module Conc = Astree_conc
+module Metrics = Astree_obs.Metrics
 module F = Astree_frontend
 module G = Astree_gen
 module P = Astree_parallel
@@ -15,12 +18,6 @@ module R = Astree_robust
    green under a global ASTREE_FAULTS chaos run, while the equivalence
    tests keep the faults live — those must hold whatever is injected. *)
 let no_faults = R.Faultsim.with_suppressed
-
-(* force dispatch on the small programs used in tests *)
-let with_min_stmts n k =
-  let saved = !C.Iterator.par_min_stmts in
-  C.Iterator.par_min_stmts := n;
-  Fun.protect ~finally:(fun () -> C.Iterator.par_min_stmts := saved) k
 
 let with_chaos k =
   Unix.putenv "ASTREE_PAR_CHAOS" "1";
@@ -150,7 +147,7 @@ let compile_member (g : G.Generator.generated) =
    all three). *)
 let check_equiv ?(jobs = 4) ~name (cfg : C.Config.t) (p : F.Tast.program) =
   let seq = C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 1 } p in
-  let par = P.Scheduler.analyze ~cfg:{ cfg with C.Config.jobs = jobs } p in
+  let par = C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = jobs } p in
   Alcotest.(check (list string))
     (name ^ ": same alarms")
     (List.map (Fmt.str "%a" C.Alarm.pp) seq.C.Analysis.r_alarms)
@@ -161,103 +158,62 @@ let check_equiv ?(jobs = 4) ~name (cfg : C.Config.t) (p : F.Tast.program) =
 
 let test_equiv_mini_fbw () =
   with_mini_fbw (fun src ->
-      with_min_stmts 1 (fun () ->
-          let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
-          let cfg =
-            {
-              C.Config.default with
-              C.Config.partitioned_functions = [ "select_gain" ];
-            }
-          in
-          check_equiv ~name:"mini_fbw" cfg p))
+      let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
+      let cfg =
+        {
+          C.Config.default with
+          C.Config.partitioned_functions = [ "select_gain" ];
+        }
+      in
+      check_equiv ~name:"mini_fbw" cfg p)
 
 let test_equiv_members () =
-  with_min_stmts 1 (fun () ->
-      List.iter
-        (fun (seed, kloc, bug_ratio) ->
-          let g =
-            G.Generator.generate
-              {
-                G.Generator.default with
-                G.Generator.seed;
-                target_lines = int_of_float (kloc *. 1000.);
-                bug_ratio;
-              }
-          in
-          let cfg, p = compile_member g in
-          check_equiv
-            ~name:(Fmt.str "member seed=%d kloc=%.1f" seed kloc)
-            cfg p)
-        [ (1, 0.3, 0.); (7, 0.4, 0.15); (42, 0.6, 0.) ])
-
-(* the registered driver routes Analysis.analyze through the pool *)
-let test_registered_driver () =
-  with_mini_fbw (fun src ->
-      with_min_stmts 1 (fun () ->
-          let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
-          let cfg =
-            {
-              C.Config.default with
-              C.Config.partitioned_functions = [ "select_gain" ];
-            }
-          in
-          let seq = C.Analysis.analyze ~cfg p in
-          P.Scheduler.register ();
-          Fun.protect
-            ~finally:(fun () -> C.Analysis.parallel_driver := None)
-            (fun () ->
-              let par =
-                C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 4 } p
-              in
-              Alcotest.(check string)
-                "driver output identical"
-                (P.Merge.fingerprint seq) (P.Merge.fingerprint par))))
-
-(* a dispatcher that loses every job: the iterator recomputes every
-   disjunct in-process and the result is still exact *)
-let test_hook_all_lost () =
-  with_mini_fbw (fun src ->
-      with_min_stmts 1 (fun () ->
-          let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
-          let cfg =
-            {
-              C.Config.default with
-              C.Config.partitioned_functions = [ "select_gain" ];
-            }
-          in
-          let seq = C.Analysis.analyze ~cfg p in
-          let dispatched = ref 0 in
-          let ses = C.Transfer.new_session () in
-          ses.C.Transfer.ses_par_hook <-
-            Some
-              (fun jobs ->
-                dispatched := !dispatched + List.length jobs;
-                List.map (fun _ -> None) jobs);
-          let par = C.Analysis.analyze ~session:ses ~cfg p in
-          Alcotest.(check bool)
-            "the iterator did dispatch jobs" true (!dispatched > 0);
-          Alcotest.(check string)
-            "fallback result identical"
-            (P.Merge.fingerprint seq) (P.Merge.fingerprint par)))
-
-(* every worker self-kills on its first job (ASTREE_PAR_CHAOS): the
-   crash -> respawn -> retry -> in-process-fallback ladder must still
-   yield the sequential result *)
-let test_equiv_under_chaos () =
-  with_min_stmts 1 (fun () ->
+  List.iter
+    (fun (seed, kloc, bug_ratio) ->
       let g =
         G.Generator.generate
-          { G.Generator.default with G.Generator.seed = 3; target_lines = 250 }
+          {
+            G.Generator.default with
+            G.Generator.seed;
+            target_lines = int_of_float (kloc *. 1000.);
+            bug_ratio;
+          }
       in
       let cfg, p = compile_member g in
-      let seq = C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 1 } p in
-      let par =
-        with_chaos (fun () ->
-            P.Scheduler.analyze ~cfg:{ cfg with C.Config.jobs = 2 } p)
-      in
-      Alcotest.(check string)
-        "identical despite killed workers"
-        (P.Merge.fingerprint seq) (P.Merge.fingerprint par))
+      check_equiv ~name:(Fmt.str "member seed=%d kloc=%.1f" seed kloc) cfg p)
+    [ (1, 0.3, 0.); (7, 0.4, 0.15); (42, 0.6, 0.) ]
+
+(* A multi-task member: its per-task runs are the single-program path
+   that still forks workers and ships deltas. *)
+let tasks_member ~seed ~bug_ratio =
+  let g =
+    G.Generator.generate_tasks
+      { G.Generator.default with G.Generator.seed; target_lines = 150; bug_ratio }
+      ~tasks:3
+  in
+  let p, _ = C.Analysis.compile [ ("mt.c", g.G.Generator.source) ] in
+  (g.G.Generator.task_fns, p)
+
+let analyze_tasks ?(timeout = 0.) ~jobs ~tasks p =
+  (Conc.Fixpoint.analyze
+     ~cfg:{ C.Config.default with C.Config.jobs; timeout }
+     ~tasks p)
+    .Conc.Fixpoint.c_result
+
+(* every worker self-kills on its first job (ASTREE_PAR_CHAOS): the
+   crash -> respawn -> in-process-fallback ladder of the per-task pool
+   must still yield the sequential result *)
+let fallbacks () = Metrics.value (Metrics.counter "conc.fallbacks")
+
+let test_equiv_under_chaos () =
+  let tasks, p = tasks_member ~seed:3 ~bug_ratio:0.5 in
+  let seq = analyze_tasks ~jobs:1 ~tasks p in
+  let f0 = fallbacks () in
+  let par = with_chaos (fun () -> analyze_tasks ~jobs:2 ~tasks p) in
+  Alcotest.(check bool) "the workers were killed" true (fallbacks () > f0);
+  Alcotest.(check string)
+    "identical despite killed workers"
+    (P.Merge.fingerprint seq) (P.Merge.fingerprint par)
 
 (* ---------------- batch axis ---------------- *)
 
@@ -310,7 +266,6 @@ let read_example name =
 (* On every example program and at every -j, the parallel analysis
    reproduces the sequential fingerprint exactly. *)
 let test_examples_matrix () =
-  with_min_stmts 1 @@ fun () ->
   no_faults @@ fun () ->
   List.iter
     (fun (name, parts) ->
@@ -329,8 +284,7 @@ let test_examples_matrix () =
             (fun j ->
               let par =
                 P.Merge.fingerprint
-                  (P.Scheduler.analyze
-                     ~cfg:{ cfg with C.Config.jobs = j } p)
+                  (C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = j } p)
               in
               Alcotest.(check string) (Fmt.str "%s -j%d = seq" name j) seq par)
             [ 1; 2; 4 ])
@@ -385,6 +339,21 @@ let test_batch_chaos_fallback () =
         (P.Merge.fingerprint s) (P.Merge.fingerprint r))
     seq par
 
+(* On a healthy pool every per-task job comes back from its worker:
+   a reply that cannot be marshalled (a closure left in the result's
+   session) would silently cost a sequential recomputation.  The
+   generous budget puts the runs under the governor's tick hook, as the
+   CLI's signal handlers always do. *)
+let test_tasks_workers_answer () =
+  no_faults @@ fun () ->
+  let tasks, p = tasks_member ~seed:8 ~bug_ratio:0.5 in
+  let seq = analyze_tasks ~jobs:1 ~tasks p in
+  let f0 = fallbacks () in
+  let par = analyze_tasks ~timeout:3600. ~jobs:3 ~tasks p in
+  Alcotest.(check int) "no job fell back in-process" f0 (fallbacks ());
+  Alcotest.(check string)
+    "same result as -j1" (P.Merge.fingerprint seq) (P.Merge.fingerprint par)
+
 let suite =
   [
     Alcotest.test_case "pool: ordered map" `Quick test_pool_order;
@@ -395,12 +364,12 @@ let suite =
     Alcotest.test_case "merge: state join" `Quick test_merge_states;
     Alcotest.test_case "equiv: mini_fbw -j4" `Quick test_equiv_mini_fbw;
     Alcotest.test_case "equiv: family members -j4" `Slow test_equiv_members;
-    Alcotest.test_case "equiv: registered driver" `Quick test_registered_driver;
-    Alcotest.test_case "equiv: hook loses all jobs" `Quick test_hook_all_lost;
     Alcotest.test_case "equiv: killed workers" `Quick test_equiv_under_chaos;
     Alcotest.test_case "batch: -j3 equivalence" `Slow test_batch_equiv;
     Alcotest.test_case "batch: chaos fallback" `Quick test_batch_chaos_fallback;
     Alcotest.test_case "batch: pool forks after a batch" `Quick
       test_fork_after_batch;
     Alcotest.test_case "equiv: examples -j1/2/4" `Slow test_examples_matrix;
+    Alcotest.test_case "equiv: multi-task workers answer every job" `Quick
+      test_tasks_workers_answer;
   ]

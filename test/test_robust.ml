@@ -6,6 +6,7 @@
    cache write-failure — exercises its recovery path. *)
 
 module C = Astree_core
+module Conc = Astree_conc
 module F = Astree_frontend
 module G = Astree_gen
 module I = Astree_incremental
@@ -61,6 +62,26 @@ let member_program () =
       C.Config.partitioned_functions = g.G.Generator.partition_fns;
     },
     p )
+
+(* A 3-task member with racy producers: the multi-task fixpoint's
+   per-task runs are the single-program path that still forks workers,
+   and the interference fixpoint is governed as one analysis. *)
+let tasks_member () =
+  let g =
+    G.Generator.generate_tasks
+      {
+        G.Generator.default with
+        G.Generator.seed = 5;
+        target_lines = 600;
+        bug_ratio = 0.5;
+      }
+      ~tasks:3
+  in
+  let p, _ = C.Analysis.compile [ ("mt.c", g.G.Generator.source) ] in
+  (g.G.Generator.task_fns, p)
+
+let analyze_tasks ?(cfg = C.Config.default) ~tasks p =
+  (Conc.Fixpoint.analyze ~cfg ~tasks p).Conc.Fixpoint.c_result
 
 let with_env var value k =
   let saved = Option.value (Sys.getenv_opt var) ~default:"" in
@@ -344,22 +365,20 @@ let test_inject_reply_truncate () =
               Alcotest.(check string) "short read = crash" "worker crashed" e
           | _ -> Alcotest.fail "expected the truncated reply to fail"))
 
-(* injected faults or none, -j must still match the sequential result *)
+(* injected faults or none, -j must still match the sequential result
+   (on a multi-task member: its per-task pool is where -j forks) *)
 let test_equiv_under_injection () =
-  let saved = !C.Iterator.par_min_stmts in
-  C.Iterator.par_min_stmts := 1;
-  Fun.protect
-    ~finally:(fun () -> C.Iterator.par_min_stmts := saved)
+  let tasks, p = tasks_member () in
+  let seq = analyze_tasks ~tasks p in
+  with_faults ~seed:9
+    [ (R.Faultsim.Worker_crash, 0.3); (R.Faultsim.Reply_truncate, 0.2) ]
     (fun () ->
-      let cfg, p = member_program () in
-      let seq = C.Analysis.analyze ~cfg:{ cfg with C.Config.jobs = 1 } p in
-      with_faults ~seed:9
-        [ (R.Faultsim.Worker_crash, 0.3); (R.Faultsim.Reply_truncate, 0.2) ]
-        (fun () ->
-          let par = P.Scheduler.analyze ~cfg:{ cfg with C.Config.jobs = 2 } p in
-          Alcotest.(check string)
-            "identical despite injected crashes and truncations"
-            (P.Merge.fingerprint seq) (P.Merge.fingerprint par)))
+      let par =
+        analyze_tasks ~cfg:{ C.Config.default with C.Config.jobs = 2 } ~tasks p
+      in
+      Alcotest.(check string)
+        "identical despite injected crashes and truncations"
+        (P.Merge.fingerprint seq) (P.Merge.fingerprint par))
 
 (* ---------------- faultsim: store injection points ---------------- *)
 
@@ -525,6 +544,61 @@ let test_backoff_cap () =
       <= p.R.Backoff.b_max *. (1. +. p.R.Backoff.b_jitter) +. 1e-9)
   done
 
+(* ---------------- multi-task governor ---------------- *)
+
+(* An interrupt before a multi-task analysis: the first poll — a
+   per-task tick at -j 1, the pool's dispatch loop at -j 2 — trips, and
+   the fixpoint reports a partial result instead of raising. *)
+let test_tasks_interrupt_partial () =
+  let tasks, p = tasks_member () in
+  List.iter
+    (fun jobs ->
+      R.Budget.interrupt ();
+      Fun.protect
+        ~finally:(fun () -> R.Budget.clear_interrupt ())
+        (fun () ->
+          let t =
+            Conc.Fixpoint.analyze
+              ~cfg:{ C.Config.default with C.Config.jobs }
+              ~tasks p
+          in
+          let r = t.Conc.Fixpoint.c_result in
+          let d = degraded_exn r in
+          Alcotest.(check string)
+            (Fmt.str "-j %d: marked interrupted" jobs)
+            "interrupted" d.C.Analysis.dg_reason;
+          Alcotest.(check bool)
+            (Fmt.str "-j %d: partial run never claims to finish" jobs)
+            true
+            (C.Astate.is_bot r.C.Analysis.r_final
+            && not t.Conc.Fixpoint.c_stabilized)))
+    [ 1; 2 ]
+
+(* --timeout on a multi-task program is honoured: the fixpoint is
+   restarted down the ladder, and the degraded alarms cover the full
+   run's. *)
+let test_tasks_timeout_degrades () =
+  let tasks, p = tasks_member () in
+  let full = analyze_tasks ~tasks p in
+  List.iter
+    (fun jobs ->
+      let r =
+        analyze_tasks
+          ~cfg:{ C.Config.default with C.Config.jobs; timeout = 0.005 }
+          ~tasks p
+      in
+      let d = degraded_exn r in
+      Alcotest.(check string)
+        (Fmt.str "-j %d: tripped on the clock" jobs)
+        "timeout" d.C.Analysis.dg_reason;
+      Alcotest.(check bool)
+        (Fmt.str "-j %d: degraded alarms cover the full run's" jobs)
+        true
+        (is_superset ~big:(alarm_keys r) ~small:(alarm_keys full)))
+    [ 1; 2 ];
+  Alcotest.(check bool) "unconstrained run is not degraded" true
+    (full.C.Analysis.r_stats.C.Analysis.s_degraded = None)
+
 let suite =
   [
     Alcotest.test_case "budget: poll trips and clears" `Quick test_budget_poll;
@@ -566,4 +640,8 @@ let suite =
     Alcotest.test_case "backoff: delays grow up the ladder" `Quick
       test_backoff_growth;
     Alcotest.test_case "backoff: capped at b_max" `Quick test_backoff_cap;
+    Alcotest.test_case "degrade: multi-task interrupt yields partial result"
+      `Quick test_tasks_interrupt_partial;
+    Alcotest.test_case "degrade: multi-task timeout sheds, stays sound"
+      `Quick test_tasks_timeout_degrades;
   ]
