@@ -43,6 +43,13 @@ let profile_probes =
     ("widening (all domains)", "widen.total");
   ]
 
+(* ... followed by the iterator's loop-body pass counters (no timer) *)
+let profile_counters =
+  [
+    ("loop-body passes (computed)", "iter.passes");
+    ("loop-body passes (reused)", "iter.passes_reused");
+  ]
+
 let print_profile ppf =
   let module M = Astree_obs.Metrics in
   Format.fprintf ppf "--- profile (cumulative, merged across workers) ---@.";
@@ -51,7 +58,11 @@ let print_profile ppf =
       Format.fprintf ppf "%-42s %10d calls %12.6f s@." label
         (M.value (M.counter key))
         (M.timer_value (M.timer (key ^ ".time"))))
-    profile_probes
+    profile_probes;
+  List.iter
+    (fun (label, key) ->
+      Format.fprintf ppf "%-42s %10d@." label (M.value (M.counter key)))
+    profile_counters
 
 let run files main tasks_opt no_oct no_ell no_dt no_clock no_lin no_thresholds
     unroll partitioned max_dt_bools useful_packs jobs cache_dir cache_mem

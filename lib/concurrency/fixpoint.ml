@@ -208,18 +208,21 @@ let absorb_actx (dst : C.Transfer.actx) (src : C.Transfer.actx) : unit =
 let fixpoint ~tick ~finished ~rounds ~t0 (cfg : C.Config.t)
     ~(tasks : string list) (shared : F.Tast.var list) (p : F.Tast.program) :
     C.Analysis.result * int * bool =
-  let pool =
+  (* the pool lives exactly as long as the fixpoint: an interrupt or a
+     budget trip unwinding through [with_pool] kills its workers at once *)
+  let in_pool k =
     if cfg.C.Config.jobs > 1 && List.compare_length_with tasks 1 > 0 then begin
       (* drain buffered trace events to the sink before forking: workers
          would otherwise inherit (and possibly re-write) them *)
       Trace.flush ();
-      Some
-        (P.Pool.create
-           ~jobs:(min cfg.C.Config.jobs (List.length tasks))
-           (run_job_delta ~tick ~cfg p shared))
+      P.Pool.with_pool
+        ~jobs:(min cfg.C.Config.jobs (List.length tasks))
+        (run_job_delta ~tick ~cfg p shared)
+        (fun pl -> k (Some pl))
     end
-    else None
+    else k None
   in
+  in_pool @@ fun pool ->
   let round_of ~round (writes : Interference.map list) :
       (C.Analysis.result * Interference.map) list =
     Metrics.incr rounds_counter;
@@ -307,17 +310,13 @@ let fixpoint ~tick ~finished ~rounds ~t0 (cfg : C.Config.t)
       in
       iterate ~round:(round + 1) writes''
   in
-  Fun.protect
-    ~finally:(fun () ->
-      match pool with Some pl -> P.Pool.shutdown pl | None -> ())
-    (fun () ->
-      match shared with
-      | [] ->
-          (* no interference possible: one round under the empty rely
-             is already the fixpoint *)
-          let results = round_of ~round:1 (List.map (fun _ -> []) tasks) in
-          finish results ~round:1 ~stabilized:true
-      | _ -> iterate ~round:1 (List.map (fun _ -> Interference.empty) tasks))
+  match shared with
+  | [] ->
+      (* no interference possible: one round under the empty rely is
+         already the fixpoint *)
+      let results = round_of ~round:1 (List.map (fun _ -> []) tasks) in
+      finish results ~round:1 ~stabilized:true
+  | _ -> iterate ~round:1 (List.map (fun _ -> Interference.empty) tasks)
 
 let analyze ?(cfg = C.Config.default) ~(tasks : string list)
     (p : F.Tast.program) : t =
@@ -357,12 +356,21 @@ let analyze ?(cfg = C.Config.default) ~(tasks : string list)
       (* the alarms of every per-task run finished before the
          interrupt; the final state is bottom, as for a single task *)
       let alarms, stats = List.split (List.rev !done_runs) in
-      let s = P.Merge.sum_stats stats in
+      let actx = C.Transfer.make_actx acfg p in
+      C.Transfer.prefill_cells actx;
+      let s =
+        match stats with
+        | [] ->
+            (* no run finished: the program's sizes and packs are known
+               all the same, from the context every run starts with *)
+            C.Analysis.context_stats actx p
+        | _ -> P.Merge.sum_stats stats
+      in
       result
         ( {
             C.Analysis.r_alarms = P.Merge.alarms alarms;
             r_final = C.Astate.bottom;
-            r_actx = C.Transfer.make_actx acfg p;
+            r_actx = actx;
             r_stats =
               {
                 s with

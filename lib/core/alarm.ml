@@ -126,7 +126,8 @@ let absorb (c : collector) (delta : t list) : unit =
     one function call.  [capture] swaps in a fresh table (keeping the
     mode flag); [release] puts the saved table back, absorbs the alarms
     recorded meanwhile (first-in wins, exactly the sequential policy)
-    and returns them.  Captures nest like a stack. *)
+    and returns them; [discard] puts it back and drops them.  Captures
+    nest like a stack. *)
 type capture = (kind * F.Loc.t, t) Hashtbl.t
 
 let capture (c : collector) : capture =
@@ -139,3 +140,5 @@ let release (c : collector) (saved : capture) : t list =
   c.alarms <- saved;
   absorb c fresh;
   fresh
+
+let discard (c : collector) (saved : capture) : unit = c.alarms <- saved

@@ -82,9 +82,12 @@ val absorb : collector -> t list -> unit
 
 (** Capture section: [capture] diverts subsequent reports into a fresh
     table; [release] restores the previous table, absorbs the diverted
-    alarms back (first-in wins) and returns them.  Used by the summary
-    cache to record the alarms of one function call; sections nest. *)
+    alarms back (first-in wins) and returns them; [discard] restores the
+    previous table and drops the diverted alarms.  Used by the summary
+    cache to record the alarms of one function call, and by the iterator
+    to run a checking pass whose alarms it may reject; sections nest. *)
 type capture
 
 val capture : collector -> capture
 val release : collector -> capture -> t list
+val discard : collector -> capture -> unit

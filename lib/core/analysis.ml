@@ -96,6 +96,23 @@ let set_gauges (r : result) : unit =
   Metrics.set_gauge "analysis.dt_packs" s.s_dt_packs;
   Metrics.set_gauge "analysis.alarms" (n_alarms r)
 
+(** The statistics a context and its program determine (sizes, pack
+    counts, useful packs so far); no time, cache or degradation. *)
+let context_stats (actx : Transfer.actx) (p : F.Tast.program) : stats =
+  {
+    s_globals_before = List.length p.F.Tast.p_globals;
+    s_globals_after = List.length p.F.Tast.p_globals;
+    s_cells = Cell.count actx.Transfer.intern;
+    s_stmts = F.Tast.program_size p;
+    s_oct_packs = List.length actx.Transfer.packs.Packing.octs;
+    s_oct_useful = Hashtbl.length actx.Transfer.oct_useful;
+    s_ell_packs = List.length actx.Transfer.packs.Packing.ells;
+    s_dt_packs = List.length actx.Transfer.packs.Packing.dts;
+    s_time = 0.;
+    s_cache = None;
+    s_degraded = None;
+  }
+
 (** Analyze a typed program against an already-prepared context (the
     multi-task fixpoint builds and pre-fills one context per task run,
     then runs the iterator through this entry point). *)
@@ -109,20 +126,7 @@ let analyze_prepared (actx : Transfer.actx) (p : F.Tast.program) : result =
       r_alarms = Alarm.to_list actx.Transfer.alarms;
       r_final = final;
       r_actx = actx;
-      r_stats =
-        {
-          s_globals_before = List.length p.F.Tast.p_globals;
-          s_globals_after = List.length p.F.Tast.p_globals;
-          s_cells = Cell.count actx.Transfer.intern;
-          s_stmts = F.Tast.program_size p;
-          s_oct_packs = List.length actx.Transfer.packs.Packing.octs;
-          s_oct_useful = Hashtbl.length actx.Transfer.oct_useful;
-          s_ell_packs = List.length actx.Transfer.packs.Packing.ells;
-          s_dt_packs = List.length actx.Transfer.packs.Packing.dts;
-          s_time = t1 -. t0;
-          s_cache = None;
-          s_degraded = None;
-        };
+      r_stats = { (context_stats actx p) with s_time = t1 -. t0 };
     }
   in
   set_gauges r;

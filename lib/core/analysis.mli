@@ -63,6 +63,11 @@ val analyze :
   Astree_frontend.Tast.program ->
   result
 
+(** The statistics a context and its program determine: sizes, pack
+    counts and the packs found useful so far, with zero time and no
+    cache or degradation record. *)
+val context_stats : Transfer.actx -> Astree_frontend.Tast.program -> stats
+
 (** Analyze against an already-prepared context (used by the multi-task
     fixpoint, which pre-fills one context per task run). *)
 val analyze_prepared : Transfer.actx -> Astree_frontend.Tast.program -> result

@@ -25,6 +25,8 @@ let c_cache_hits = Metrics.counter "cache.hits"
 let c_cache_misses = Metrics.counter "cache.misses"
 let c_calls_inlined = Metrics.counter "iter.calls_inlined"
 let c_loops = Metrics.counter "iter.loops"
+let c_passes = Metrics.counter "iter.passes"
+let c_passes_reused = Metrics.counter "iter.passes_reused"
 let c_widen_total = Metrics.counter "widen.total"
 let t_widen_total = Metrics.timer "widen.total.time"
 let h_loop_iters = Metrics.histogram "loop.iters"
@@ -292,12 +294,33 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
   let cfg = a.Transfer.cfg in
   let thresholds = cfg.Config.widening_thresholds in
   (* one pass over the loop body from [st]; returns (after-body state,
-     outcome for break/return accounting) *)
+     outcome for break/return accounting).  The fixpoint below often
+     re-runs the body on the very state of its previous pass (narrowing
+     starts from the stable iterate, each narrowing step from the state
+     just verified, a nested loop's final pass from its invariant), so
+     the last iteration-mode pass is kept, keyed by physical equality of
+     its input.  One entry suffices, and is what makes reuse exact: no
+     other pass of this loop runs between a pass and its reuse, so the
+     side effects a recomputation would redo (nested invariants, useful
+     packs, interference writes) already stand as it would leave them.
+     A checking-mode pass must report its alarms: it is never served
+     from the memo and clears it. *)
+  let last_pass = ref None and n_passes = ref 0 in
   let body_pass st =
-    let body_in = Transfer.guard a st binds c true in
-    let o = exec_block a ~part:false ~stack binds [ body_in ] body in
-    let after = Astate.join (join_states o.o_norm) o.o_cont in
-    (after, o)
+    let checking = a.Transfer.alarms.Alarm.enabled in
+    match !last_pass with
+    | Some (input, r) when input == st && not checking ->
+        Metrics.incr c_passes_reused;
+        r
+    | _ ->
+        last_pass := None;
+        incr n_passes;
+        Metrics.incr c_passes;
+        let body_in = Transfer.guard a st binds c true in
+        let o = exec_block a ~part:false ~stack binds [ body_in ] body in
+        let r = (Astate.join (join_states o.o_norm) o.o_cont, o) in
+        if not checking then last_pass := Some (st, r);
+        r
   in
   (* ---- semantic unrolling (Sect. 7.1.1) ---- *)
   let unroll = Config.unroll_for cfg li.loop_id in
@@ -424,32 +447,65 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
        recovers from widening overshoots (finite thresholds above the
        real bound), which the classical infinite-bounds-only narrowing
        cannot. *)
+    let verify next =
+      let check, o = body_pass next in
+      if Astate.subset (Astate.join st0 check) next then Some o else None
+    in
+    (* In checking mode the last verification pass doubles as the
+       checking pass (Sect. 5.4): it runs with alarms on, diverted into a
+       capture section that is kept only if [next] is adopted — then
+       [next] is the invariant and this pass is exactly the final pass
+       below.  A rejected [next], or an exception unwinding through the
+       pass, drops the diverted alarms. *)
+    let verify_checking next =
+      let alarms = a.Transfer.alarms in
+      alarms.Alarm.enabled <- true;
+      let cap = Alarm.capture alarms in
+      let r =
+        try verify next
+        with e ->
+          alarms.Alarm.enabled <- false;
+          Alarm.discard alarms cap;
+          raise e
+      in
+      alarms.Alarm.enabled <- false;
+      if Option.is_some r then ignore (Alarm.release alarms cap)
+      else Alarm.discard alarms cap;
+      r
+    in
+    (* returns the invariant and, when the checking pass was folded into
+       the last verification, that pass's outcome *)
     let rec narrow k inv =
-      if k = 0 then inv
+      if k = 0 then (inv, None)
       else begin
         let after, _ = body_pass inv in
         let next = Astate.join st0 after in
         if Astate.subset next inv && not (Astate.equal next inv) then begin
-          let check, _ = body_pass next in
-          if Astate.subset (Astate.join st0 check) next then begin
-            incr n_narrows;
-            narrow (k - 1) next
-          end
-          else
-            (* fall back to the classical narrowing on infinite bounds *)
-            let narrowed = Astate.narrow inv next in
-            let check, _ = body_pass narrowed in
-            if Astate.subset (Astate.join st0 check) narrowed then begin
+          let fold = k = 1 && saved_mode in
+          match (if fold then verify_checking next else verify next) with
+          | Some o ->
               incr n_narrows;
-              narrowed
-            end
-            else inv
+              if fold then (next, Some o) else narrow (k - 1) next
+          | None ->
+              (* fall back to the classical narrowing on infinite bounds *)
+              let narrowed = Astate.narrow inv next in
+              if Option.is_some (verify narrowed) then begin
+                incr n_narrows;
+                (narrowed, None)
+              end
+              else (inv, None)
         end
-        else inv
+        else (inv, None)
       end
     in
-    let inv = narrow cfg.Config.narrowing_iterations inv in
+    let inv, folded = narrow cfg.Config.narrowing_iterations inv in
     a.Transfer.alarms.Alarm.enabled <- saved_mode;
+    (* save the loop invariant for examination (Sect. 5.3) *)
+    Hashtbl.replace a.Transfer.invariants li.loop_id inv;
+    (* ---- extra pass, in checking mode if enabled (Sect. 5.4) ---- *)
+    let o_final =
+      match folded with Some o -> o | None -> snd (body_pass inv)
+    in
     Metrics.observe h_loop_iters !n_iters;
     if !Trace.enabled then
       Trace.emit "loop.fixpoint"
@@ -463,11 +519,8 @@ and exec_while (a : Transfer.actx) ~(stack : string list)
             ("stabilized_at", Trace.I !n_iters);
             ( "threshold_hits",
               Trace.I (Metrics.value c_threshold_hits - thr_hits0) );
+            ("passes", Trace.I !n_passes);
           ];
-    (* save the loop invariant for examination (Sect. 5.3) *)
-    Hashtbl.replace a.Transfer.invariants li.loop_id inv;
-    (* ---- extra pass, in checking mode if enabled (Sect. 5.4) ---- *)
-    let _, o_final = body_pass inv in
     let exit_ = Transfer.guard a inv binds c false in
     {
       no_flow with

@@ -294,9 +294,26 @@ let map ?(timeout = infinity) (p : ('a, 'b) t) (jobs : 'a list) :
   Array.to_list results
   |> List.map (function Some r -> r | None -> Error "unreachable")
 
+(* The exceptional exit of [with_pool]: the caller is unwinding (an
+   interrupt, a budget trip), so no reply will ever be read and a busy
+   worker's job is wasted work — kill every worker at once instead of
+   granting [shutdown]'s grace period. *)
+let abort (p : ('a, 'b) t) : unit =
+  if p.p_alive then begin
+    p.p_alive <- false;
+    Array.iter dispose_worker p.p_workers
+  end
+
 let with_pool ~(jobs : int) (f : 'a -> 'b) (k : ('a, 'b) t -> 'c) : 'c =
   let p = create ~jobs f in
-  Fun.protect ~finally:(fun () -> shutdown p) (fun () -> k p)
+  match k p with
+  | r ->
+      shutdown p;
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      abort p;
+      Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* Async interface (one outstanding job per worker slot)               *)

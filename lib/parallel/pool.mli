@@ -31,7 +31,9 @@ val map : ?timeout:float -> ('a, 'b) t -> 'a list -> ('b, string) result list
 val shutdown : ('a, 'b) t -> unit
 
 (** [with_pool ~jobs f k] runs [k] with a fresh pool, shutting it down
-    on exit. *)
+    when [k] returns.  If [k] raises, every worker is killed at once
+    (no grace period: nothing will read their replies) before the
+    exception propagates. *)
 val with_pool : jobs:int -> ('a -> 'b) -> (('a, 'b) t -> 'c) -> 'c
 
 (** {1 Async interface}

@@ -97,11 +97,37 @@ let run_batch_job_delta (bj : batch_job) :
   let r = run_batch_job bj in
   (r, Metrics.diff m0)
 
+(** Estimated cost of a batch job: its source bytes, or the program's
+    statement count when it is already compiled.  Only the dispatch
+    order depends on it. *)
+let job_cost (bj : batch_job) : int =
+  match bj.bj_source with
+  | Bs_program p -> F.Tast.program_size p
+  | Bs_sources srcs ->
+      List.fold_left (fun n (_, src) -> n + String.length src) 0 srcs
+
+(** Hand [jobs] to [pmap] in decreasing estimated cost (a stable sort,
+    so equal costs keep their order) and return the results in [jobs]
+    order.  A pool serves jobs in the order it is given them, so the
+    longest job starts first instead of setting the batch's tail. *)
+let longest_first (pmap : batch_job list -> 'r list) (jobs : batch_job list) :
+    'r list =
+  let sorted =
+    List.mapi (fun i bj -> (job_cost bj, i, bj)) jobs
+    |> List.stable_sort (fun (c1, _, _) (c2, _, _) -> Int.compare c2 c1)
+  in
+  let out = Array.make (List.length jobs) None in
+  List.iter2
+    (fun (_, i, _) r -> out.(i) <- Some r)
+    sorted
+    (pmap (List.map (fun (_, _, bj) -> bj) sorted));
+  Array.to_list out |> List.map Option.get
+
 (** Run a batch of whole-program analyses on [jobs] workers, results in
-    job order.  Failed jobs are retried once, then recomputed
-    in-process.  Worker registry deltas (metrics, profile probes) are
-    absorbed in item order, so batch reports merge deterministically
-    whatever the interleaving. *)
+    job order.  Jobs are dispatched longest first; failed jobs are
+    retried once, then recomputed in-process.  Worker registry deltas
+    (metrics, profile probes) are absorbed in item order, so batch
+    reports merge deterministically whatever the interleaving. *)
 let analyze_batch ?(jobs = default_jobs ()) (items : batch_job list) :
     (string * C.Analysis.result) list =
   if jobs <= 1 || List.compare_length_with items 2 < 0 then
@@ -110,7 +136,11 @@ let analyze_batch ?(jobs = default_jobs ()) (items : batch_job list) :
     Trace.flush ();
     Pool.with_pool ~jobs:(min jobs (List.length items)) run_batch_job_delta
       (fun pool ->
-        let rs = map_retry (Pool.map ~timeout:!batch_job_timeout pool) items in
+        let rs =
+          map_retry
+            (longest_first (Pool.map ~timeout:!batch_job_timeout pool))
+            items
+        in
         List.map2
           (fun bj r ->
             ( bj.bj_label,

@@ -30,8 +30,14 @@ val batch_job :
 (** Run one batch job sequentially in-process. *)
 val run_batch_job : batch_job -> C.Analysis.result
 
-(** Run whole-program analyses on a worker pool; returns (label,
-    result) pairs in job order.  Failed jobs are retried once, then
-    recomputed in-process. *)
+(** [longest_first pmap jobs] hands [jobs] to [pmap] sorted by
+    decreasing estimated cost — total source bytes, or the statement
+    count of an already-compiled program; a stable sort — and returns
+    the results in [jobs] order. *)
+val longest_first : (batch_job list -> 'r list) -> batch_job list -> 'r list
+
+(** Run whole-program analyses on a worker pool, dispatched longest
+    first; returns (label, result) pairs in job order.  Failed jobs are
+    retried once, then recomputed in-process. *)
 val analyze_batch :
   ?jobs:int -> batch_job list -> (string * C.Analysis.result) list

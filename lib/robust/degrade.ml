@@ -131,17 +131,8 @@ let interrupted_result (ses : C.Transfer.session) (cfg : C.Config.t)
     r_actx = actx;
     r_stats =
       {
-        C.Analysis.s_globals_before = List.length p.F.Tast.p_globals;
-        s_globals_after = List.length p.F.Tast.p_globals;
-        s_cells = C.Cell.count actx.C.Transfer.intern;
-        s_stmts = F.Tast.program_size p;
-        s_oct_packs = List.length actx.C.Transfer.packs.C.Packing.octs;
-        s_oct_useful = Hashtbl.length actx.C.Transfer.oct_useful;
-        s_ell_packs = List.length actx.C.Transfer.packs.C.Packing.ells;
-        s_dt_packs = List.length actx.C.Transfer.packs.C.Packing.dts;
-        s_time = 0.;
-        s_cache = None;
-        s_degraded = Some interrupted_record;
+        (C.Analysis.context_stats actx p) with
+        C.Analysis.s_degraded = Some interrupted_record;
       };
   }
 

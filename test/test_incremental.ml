@@ -339,7 +339,52 @@ let test_warm_member_par () =
   let cfg, p = member_program () in
   check_warm_equals_cold ~name:"member -j4" { cfg with C.Config.jobs = 4 } p
 
+(* One stage called three times per loop iteration.  The stage's exit
+   state depends on the volatile input only, so within one body pass
+   the third call starts from exactly the state the second one started
+   from: a memoized call really repeats inside a single pass. *)
+let stage_thrice_src =
+  Fmt.str
+    {|volatile float sensor;
+float level;
+
+void stage(void) {
+  float s;
+  float t;
+  s = sensor;
+  t = 0.0f;
+%s
+  level = t;
+}
+
+int main(void) {
+  __astree_input_range(sensor, -1.0, 1.0);
+  level = 0.0f;
+  while (1) {
+    stage();
+    stage();
+    stage();
+    __astree_wait_for_clock();
+  }
+  return 0;
+}
+|}
+    (String.concat "\n" (List.init 30 (fun _ -> "  t = t * 0.5f + s;")))
+
 let test_mem_cache_equiv () =
+  let mem_cfg cfg = { cfg with C.Config.summary_cache = C.Config.Cache_mem } in
+  let p, _ = C.Analysis.compile [ ("stages.c", stage_thrice_src) ] in
+  let off = C.Analysis.analyze p in
+  with_cache_driver (fun () ->
+      let r = C.Analysis.analyze ~cfg:(mem_cfg C.Config.default) p in
+      Alcotest.(check string)
+        "in-memory cache result identical (stages)"
+        (P.Merge.fingerprint off) (P.Merge.fingerprint r);
+      (* the third call of every body pass repeats the second's entry
+         state: even one cold run hits *)
+      Alcotest.(check bool)
+        "intra-run hits" true
+        ((cache_stats_exn r).C.Analysis.c_hits > 0));
   with_mini_fbw (fun src ->
       let p, _ = C.Analysis.compile [ ("mini_fbw.c", src) ] in
       let cfg =
@@ -350,19 +395,10 @@ let test_mem_cache_equiv () =
       in
       let off = C.Analysis.analyze ~cfg p in
       with_cache_driver (fun () ->
-          let r =
-            C.Analysis.analyze
-              ~cfg:{ cfg with C.Config.summary_cache = C.Config.Cache_mem }
-              p
-          in
+          let r = C.Analysis.analyze ~cfg:(mem_cfg cfg) p in
           Alcotest.(check string)
             "in-memory cache result identical"
-            (P.Merge.fingerprint off) (P.Merge.fingerprint r);
-          (* the main loop revisits the same call contexts while
-             iterating: even one run hits *)
-          Alcotest.(check bool)
-            "intra-run hits" true
-            ((cache_stats_exn r).C.Analysis.c_hits > 0)))
+            (P.Merge.fingerprint off) (P.Merge.fingerprint r)))
 
 (* ---------------- store robustness ---------------- *)
 

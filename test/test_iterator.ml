@@ -3,7 +3,12 @@
    each cross-checked against the concrete interpreter where sensible. *)
 
 module C = Astree_core
+module Conc = Astree_conc
 module F = Astree_frontend
+module G = Astree_gen
+module P = Astree_parallel
+module R = Astree_robust
+module Srv = Astree_server
 
 let alarms ?(cfg = C.Config.default) src =
   C.Analysis.n_alarms (C.Analysis.analyze_string ~cfg src)
@@ -397,6 +402,157 @@ int main(void) {
 }
 |}
 
+(* loop-body pass reuse and the folded checking pass ------------------ *)
+
+let test_alarm_capture_discard () =
+  let c = C.Alarm.make_collector () in
+  c.C.Alarm.enabled <- true;
+  let loc line = { F.Loc.file = "t.c"; line; col = 1 } in
+  C.Alarm.report c C.Alarm.Div_by_zero (loc 1) "kept";
+  let cap = C.Alarm.capture c in
+  C.Alarm.report c C.Alarm.Div_by_zero (loc 2) "dropped";
+  Alcotest.(check int) "capture diverts reports" 1 (C.Alarm.count c);
+  C.Alarm.discard c cap;
+  Alcotest.(check (list string))
+    "discard restores the table without the diverted alarm" [ "kept" ]
+    (List.map (fun (a : C.Alarm.t) -> a.C.Alarm.a_msg) (C.Alarm.to_list c));
+  (* sections nest: an inner release lands in the outer section, which
+     the outer discard then drops with everything else *)
+  let outer = C.Alarm.capture c in
+  let inner = C.Alarm.capture c in
+  C.Alarm.report c C.Alarm.Int_overflow (loc 3) "inner";
+  ignore (C.Alarm.release c inner);
+  Alcotest.(check int) "inner release absorbed by the outer section" 1
+    (C.Alarm.count c);
+  C.Alarm.discard c outer;
+  Alcotest.(check int) "outer discard drops it" 1 (C.Alarm.count c);
+  let cap = C.Alarm.capture c in
+  C.Alarm.report c C.Alarm.Div_by_zero (loc 1) "duplicate";
+  C.Alarm.report c C.Alarm.Out_of_bounds (loc 4) "new";
+  ignore (C.Alarm.release c cap);
+  Alcotest.(check (list string))
+    "release keeps the first alarm per (kind, location)" [ "kept"; "new" ]
+    (List.map (fun (a : C.Alarm.t) -> a.C.Alarm.a_msg) (C.Alarm.to_list c))
+
+(* The inner loop's widening makes the outer body non-monotone: the
+   last narrowing step's candidate invariant fails its verification
+   pass, which in checking mode is the folded checking pass.  Its
+   alarms were computed on the rejected, smaller state; the division's
+   operand must show the value on the adopted invariant. *)
+let rejected_fold_src =
+  {|
+volatile int n;
+int x;
+int y;
+int w;
+int main(void) {
+  __astree_input_range(n, 0.0, 10.0);
+  x = 0;
+  while (1) {
+    int i;
+    int j;
+    i = y + 3;
+    j = 4;
+    while (i < x) {
+      i = i + 3;
+      j = 41;
+    }
+    x = n - x;
+    if (x > 71) { x = 49; }
+    if (x < -47) { x = 0; }
+    w = 1000 / (x + i);
+  }
+}
+|}
+
+let test_rejected_fold_leaks_nothing () =
+  let r = C.Analysis.analyze_string ~file:"fold.c" rejected_fold_src in
+  match r.C.Analysis.r_alarms with
+  | [ a ] ->
+      Alcotest.(check (option (list (pair string string))))
+        "operands from the adopted invariant's checking pass"
+        (Some [ ("1000", "[1000, 1000]"); ("(x + i)", "[-44, 131]") ])
+        (Option.map (fun p -> p.C.Alarm.p_operands) a.C.Alarm.a_prov)
+  | al -> Alcotest.failf "expected one alarm, got %d" (List.length al)
+
+(* tests run from the dune sandbox; walk up to the repository root *)
+let read_example name =
+  let rec find dir depth =
+    let cand = Filename.concat dir (Filename.concat "examples/data" name) in
+    if Sys.file_exists cand then Some cand
+    else if depth = 0 then None
+    else find (Filename.dirname dir) (depth - 1)
+  in
+  Option.map
+    (fun path -> In_channel.with_open_bin path In_channel.input_all)
+    (find (Sys.getcwd ()) 6)
+
+(* a genfamily member, as [genfamily --kloc K --seed S ...] writes it *)
+let member ?(bugs = 0.0) ?(tasks = 0) ~seed kloc =
+  let cfg =
+    {
+      G.Generator.default with
+      G.Generator.seed;
+      target_lines = int_of_float (kloc *. 1000.0);
+      bug_ratio = bugs;
+    }
+  in
+  (if tasks >= 2 then G.Generator.generate_tasks cfg ~tasks
+   else G.Generator.generate cfg)
+    .G.Generator.source
+
+(* the one-shot CLI's analysis: markers configure it, task markers
+   select the interference fixpoint *)
+let cli_result file src =
+  let sources = [ (file, src) ] in
+  let cfg = Srv.Service.config_of Srv.Service.default_options ~sources in
+  let p, _ = C.Analysis.compile sources in
+  match F.Preproc.task_markers src with
+  | _ :: _ :: _ as tasks ->
+      (Conc.Fixpoint.analyze ~cfg ~tasks p).Conc.Fixpoint.c_result
+  | _ -> R.Degrade.analyze ~cfg p
+
+(* Alarm counts and fingerprints that [astree --format json FILE]
+   reported before any loop-body pass was reused or folded: reuse must
+   leave every alarm, invariant and final state exactly as
+   recomputation did. *)
+let test_results_pinned () =
+  let check file src n fp =
+    let r = cli_result file src in
+    Alcotest.(check (pair int string))
+      (file ^ ": alarms and fingerprint")
+      (n, fp)
+      (C.Analysis.n_alarms r, P.Merge.fingerprint r)
+  in
+  List.iter
+    (fun (file, n, fp) ->
+      match read_example file with
+      | Some src -> check file src n fp
+      | None -> ())
+    [
+      ("buggy_demo.c", 4, "b12095107dee8c29b902ea708d581410");
+      ("filter_bank.c", 0, "a6595852c453e41056343269aaf27cd8");
+      ("mini_fbw.c", 0, "6bf540de6656fdf7937c6d161785e382");
+    ];
+  List.iter
+    (fun (file, src, n, fp) -> check file (Lazy.force src) n fp)
+    [
+      ("m1.c", lazy (member ~seed:42 1.0), 0, "a4c91f0236e222da0c08f4b45f5d9b0a");
+      ("m2.c", lazy (member ~seed:42 2.0), 0, "1184737eb2eedbd9279eaa0e07d2852d");
+      ( "b1.c",
+        lazy (member ~bugs:0.3 ~seed:42 1.0),
+        27,
+        "5e514843b093a27f716a77533d80c618" );
+      ( "t1.c",
+        lazy (member ~tasks:3 ~seed:42 1.0),
+        0,
+        "5e47071fc4c491c0a7af12e82f63257e" );
+      ( "t1b.c",
+        lazy (member ~tasks:3 ~bugs:1.0 ~seed:42 1.0),
+        3,
+        "a0e511e0aebe665cbeb15015fdd49f3c" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "break" `Quick test_break;
@@ -415,4 +571,7 @@ let suite =
     Alcotest.test_case "loop exit refinement" `Quick test_loop_guard_exit_refinement;
     Alcotest.test_case "per-loop unroll override" `Quick test_unroll_override;
     Alcotest.test_case "checking pass covers loop bodies" `Quick test_checking_mode_covers_loop_body;
+    Alcotest.test_case "alarm capture: discard and release" `Quick test_alarm_capture_discard;
+    Alcotest.test_case "rejected folded check leaks no alarm" `Quick test_rejected_fold_leaks_nothing;
+    Alcotest.test_case "pass reuse: results pinned" `Slow test_results_pinned;
   ]

@@ -397,6 +397,47 @@ let test_provenance_not_in_fingerprint () =
     (Fmt.str "%a" C.Alarm.pp bare)
     (Fmt.str "%a" C.Alarm.pp rich)
 
+(* ---------------- loop-body passes ---------------- *)
+
+(* Exact-counter gate on the iterator's pass reuse: the main loop of the
+   2 kLOC member of the seed-42 benchmark batch ([genfamily --kloc 2
+   --seed 425]) computes 22 body passes at -j 1: one unrolled, 19
+   iterates and two narrowing verifications, the second one folded with
+   the checking pass; each narrowing step reuses its first pass. *)
+let test_main_loop_passes () =
+  with_trace @@ fun () ->
+  let g =
+    G.Generator.generate
+      { G.Generator.default with G.Generator.seed = 425; target_lines = 2000 }
+  in
+  let p, _ = C.Analysis.compile [ ("m5.c", g.G.Generator.source) ] in
+  let cfg =
+    {
+      C.Config.default with
+      C.Config.partitioned_functions = g.G.Generator.partition_fns;
+    }
+  in
+  let r = C.Analysis.analyze ~cfg p in
+  Alcotest.(check int) "clean member" 0 (C.Analysis.n_alarms r);
+  let main_loop =
+    List.filter
+      (fun e ->
+        e.T.ev_kind = "loop.fixpoint"
+        && List.assoc_opt "loop" e.T.ev_args = Some (T.I 0))
+      (T.events ())
+  in
+  Alcotest.(check (list (option int)))
+    "loop.fixpoint passes" [ Some 22 ]
+    (List.map
+       (fun e ->
+         match List.assoc_opt "passes" e.T.ev_args with
+         | Some (T.I n) -> Some n
+         | _ -> None)
+       main_loop);
+  Alcotest.(check (pair int int))
+    "registry: computed and reused passes" (22, 2)
+    (M.value (M.counter "iter.passes"), M.value (M.counter "iter.passes_reused"))
+
 let suite =
   [
     Alcotest.test_case "metrics: counters" `Quick test_counters;
@@ -419,4 +460,6 @@ let suite =
       test_provenance_chain;
     Alcotest.test_case "provenance: outside alarm identity" `Quick
       test_provenance_not_in_fingerprint;
+    Alcotest.test_case "passes: main loop of the 2 kLOC batch member" `Quick
+      test_main_loop_passes;
   ]

@@ -354,6 +354,86 @@ let test_tasks_workers_answer () =
   Alcotest.(check string)
     "same result as -j1" (P.Merge.fingerprint seq) (P.Merge.fingerprint par)
 
+(* A body that raises while a worker sleeps in a long job (an interrupt
+   unwinding through the pool): the workers are killed at once instead
+   of being granted the shutdown grace period, and none outlives the
+   pool. *)
+let test_pool_abort_on_raise () =
+  no_faults @@ fun () ->
+  let pid = ref 0 in
+  let t0 = Unix.gettimeofday () in
+  (match
+     P.Pool.with_pool ~jobs:1
+       (fun s ->
+         if s = 0. then Unix.getpid ()
+         else begin
+           Unix.sleepf s;
+           0
+         end)
+       (fun pool ->
+         pid := ok_exn (List.hd (P.Pool.map pool [ 0. ]));
+         ignore (P.Pool.submit pool 30.);
+         failwith "interrupted")
+   with
+  | () -> Alcotest.fail "the body's exception was swallowed"
+  | exception Failure _ -> ());
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Fmt.str "returned in %.3f s (< 0.3 s)" dt)
+    true (dt < 0.3);
+  Alcotest.(check bool) "the busy worker is gone" true
+    (match Unix.kill !pid 0 with
+    | () -> false
+    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true)
+
+(* Items listed small to large: the pool is handed the largest first,
+   yet labels and results come back in item order, equal to -j 1's. *)
+let test_batch_longest_first () =
+  let sized label n =
+    P.Scheduler.batch_job ~label
+      (P.Scheduler.Bs_sources [ (label ^ ".c", String.make n ' ') ])
+  in
+  let handed = ref [] in
+  let back =
+    P.Scheduler.longest_first
+      (fun jobs ->
+        handed := List.map (fun bj -> bj.P.Scheduler.bj_label) jobs;
+        List.map (fun bj -> bj.P.Scheduler.bj_label) jobs)
+      [ sized "a" 10; sized "b" 30; sized "c" 20; sized "d" 30 ]
+  in
+  Alcotest.(check (list string))
+    "dispatched by decreasing cost, ties in item order" [ "b"; "d"; "c"; "a" ]
+    !handed;
+  Alcotest.(check (list string))
+    "results back in item order" [ "a"; "b"; "c"; "d" ] back;
+  let items =
+    List.map
+      (fun (seed, lines, label) ->
+        let g =
+          G.Generator.generate
+            { G.Generator.default with G.Generator.seed; target_lines = lines }
+        in
+        let cfg =
+          {
+            C.Config.default with
+            C.Config.partitioned_functions = g.G.Generator.partition_fns;
+          }
+        in
+        P.Scheduler.batch_job ~label ~cfg
+          (P.Scheduler.Bs_sources [ (label ^ ".c", g.G.Generator.source) ]))
+      [ (31, 150, "small"); (32, 300, "medium"); (33, 450, "large") ]
+  in
+  let seq = List.map (fun bj -> P.Scheduler.run_batch_job bj) items in
+  let par = P.Scheduler.analyze_batch ~jobs:2 items in
+  Alcotest.(check (list string))
+    "labels in item order" [ "small"; "medium"; "large" ] (List.map fst par);
+  List.iter2
+    (fun s (label, r) ->
+      Alcotest.(check string)
+        (label ^ ": same result as -j 1")
+        (P.Merge.fingerprint s) (P.Merge.fingerprint r))
+    seq par
+
 let suite =
   [
     Alcotest.test_case "pool: ordered map" `Quick test_pool_order;
@@ -372,4 +452,8 @@ let suite =
     Alcotest.test_case "equiv: examples -j1/2/4" `Slow test_examples_matrix;
     Alcotest.test_case "equiv: multi-task workers answer every job" `Quick
       test_tasks_workers_answer;
+    Alcotest.test_case "pool: raising body kills busy workers" `Quick
+      test_pool_abort_on_raise;
+    Alcotest.test_case "batch: longest first, results in item order" `Quick
+      test_batch_longest_first;
   ]

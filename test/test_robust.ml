@@ -599,6 +599,36 @@ let test_tasks_timeout_degrades () =
   Alcotest.(check bool) "unconstrained run is not degraded" true
     (full.C.Analysis.r_stats.C.Analysis.s_degraded = None)
 
+(* An interrupt before any per-task run finishes still reports the
+   program's size and packs: they are known before the first run. *)
+let test_tasks_interrupt_keeps_sizes () =
+  let tasks, p = tasks_member () in
+  List.iter
+    (fun jobs ->
+      R.Budget.interrupt ();
+      Fun.protect
+        ~finally:(fun () -> R.Budget.clear_interrupt ())
+        (fun () ->
+          let r =
+            analyze_tasks ~cfg:{ C.Config.default with C.Config.jobs } ~tasks p
+          in
+          let s = r.C.Analysis.r_stats in
+          Alcotest.(check bool)
+            (Fmt.str "-j %d: no per-task run finished" jobs)
+            true
+            (r.C.Analysis.r_alarms = []);
+          List.iter
+            (fun (name, v) ->
+              Alcotest.(check bool)
+                (Fmt.str "-j %d: %s = %d is nonzero" jobs name v)
+                true (v > 0))
+            [
+              ("statements", s.C.Analysis.s_stmts);
+              ("cells", s.C.Analysis.s_cells);
+              ("octagon packs", s.C.Analysis.s_oct_packs);
+            ]))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "budget: poll trips and clears" `Quick test_budget_poll;
@@ -644,4 +674,6 @@ let suite =
       `Quick test_tasks_interrupt_partial;
     Alcotest.test_case "degrade: multi-task timeout sheds, stays sound"
       `Quick test_tasks_timeout_degrades;
+    Alcotest.test_case "degrade: early multi-task interrupt keeps sizes"
+      `Quick test_tasks_interrupt_keeps_sizes;
   ]
